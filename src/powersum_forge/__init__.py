@@ -9,14 +9,12 @@ for the quadratic equations ``a^2 + b^2 + c^2 = d^2`` and
 solutions such as taxicab numbers.  All arithmetic is exact.
 """
 
-from .exactcore import Rational, bernoulli, binomial, gcd, rational_content
-from .polynomials import BivariatePoly, Polynomial
+from .exactcore import bernoulli, rational_content
+from .polynomials import Polynomial, powers_telescope
 from .powersums import (
     CONSTANT_EXP,
     PowerSumCombo,
     S,
-    combo_to_polynomial,
-    eval_powersum,
     extract_common_factor,
     faulhaber,
     product,
@@ -48,7 +46,6 @@ from .relations import (
     expand_relation,
     factor_common_root,
     parse_mode,
-    verify_poly_identity,
 )
 from .quadratic import (
     PythagoreanQuadruple,
@@ -60,7 +57,6 @@ from .quadratic import (
     powersum_quadruple,
     powersum_triple,
     verify_square_identity,
-    verify_square_triple,
 )
 from .search import (
     GRID_GUARDRAIL,
@@ -78,19 +74,14 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
-    "gcd",
-    "binomial",
     "bernoulli",
     "rational_content",
     "Polynomial",
-    "BivariatePoly",
+    "powers_telescope",
     "CONSTANT_EXP",
     "PowerSumCombo",
     "S",
     "faulhaber",
-    "eval_powersum",
-    "combo_to_polynomial",
     "product",
     "square",
     "s1_power",
@@ -115,13 +106,11 @@ __all__ = [
     "ComboQuadruple",
     "build_relation",
     "PolyIdentity",
-    "verify_poly_identity",
     "expand_relation",
     "factor_common_root",
     "PythagoreanQuadruple",
     "SquareFormQuadruple",
     "verify_square_identity",
-    "verify_square_triple",
     "piezas_generate",
     "piezas_degenerate_triple",
     "powersum_quadruple",

@@ -10,6 +10,7 @@ failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -39,14 +40,7 @@ from .quadratic import (
     verify_square_identity,
 )
 from .relations import build_relation, expand_relation, factor_common_root, parse_mode
-from .search import (
-    SearchConfig,
-    SearchStats,
-    SolutionRecord,
-    run_search,
-    verify_record,
-    write_records,
-)
+from .search import SearchConfig, SearchStats, run_search, scan_records, write_records
 
 OK = 0
 VERIFICATION_FAILED = 1
@@ -124,45 +118,59 @@ def cmd_sandor(args) -> tuple[int, str]:
     return OK, _emit(render.form_quadruple_to_json(fq, content=content))
 
 
+def _form_document(fh) -> dict | None:
+    """The form-quadruple object a file holds, or None for a JSONL file.
+
+    A form file is one object with a ``q`` key, on one line or
+    pretty-printed; it is read whole only when its first line is not a
+    complete value and its second does not open a new object.
+    """
+    first = next((line for line in fh if line.strip()), "")
+    try:
+        obj = json.loads(first)
+    except ValueError:
+        obj = None
+        second = fh.readline()
+        if not second.startswith("{"):
+            try:
+                obj = json.loads(first + second + fh.read())
+            except ValueError:
+                pass
+    fh.seek(0)
+    return obj if isinstance(obj, dict) and "q" in obj else None
+
+
 def cmd_verify(args) -> tuple[int, str]:
     path = Path(args.file)
     try:
-        text = path.read_text(encoding="utf-8")
+        fh = path.open(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        obj = _form_document(fh)
+        if obj is None:
+            failures: list[str] = []
+            count = 0
+            for lineno, item in scan_records(fh):
+                count += 1
+                if isinstance(item, Exception):
+                    failures.append(f"line {lineno}: {item}")
+            ok = not failures
+            return (OK if ok else VERIFICATION_FAILED), _emit(
+                {"file": str(path), "records": count, "verified": ok, "failures": failures}
+            )
 
-    stripped = text.strip()
-    if stripped.startswith("{") and "\n{" not in stripped:
-        obj = json.loads(stripped)
-        if "q" not in obj:
-            raise ValueError(f"{path}: no 'q' field; not a form-quadruple file")
-        fq = render.form_quadruple_from_json(obj)
-        if isinstance(fq, SquareFormQuadruple):
-            ok = verify_square_identity(fq)
-            detail = {"identity": "square", "verified": ok}
-        else:
-            ok = verify_cubic_identity(fq)
-            detail = {"identity": "cubic", "verified": ok}
-            if ok and fq.seed is not None:
-                detail["characterization"] = check_characterization(fq.seed, fq)
-                ok = ok and detail["characterization"]
-        return (OK if ok else VERIFICATION_FAILED), _emit({"file": str(path), **detail})
-
-    # JSON-lines solutions file
-    failures: list[str] = []
-    count = 0
-    for lineno, line in enumerate(stripped.splitlines(), start=1):
-        if not line.strip():
-            continue
-        count += 1
-        try:
-            verify_record(SolutionRecord.from_json(json.loads(line)))
-        except (ValueError, KeyError) as exc:
-            failures.append(f"line {lineno}: {exc}")
-    ok = not failures
-    return (OK if ok else VERIFICATION_FAILED), _emit(
-        {"file": str(path), "records": count, "verified": ok, "failures": failures}
-    )
+    fq = render.form_quadruple_from_json(obj)
+    if isinstance(fq, SquareFormQuadruple):
+        ok = verify_square_identity(fq)
+        detail = {"identity": "square", "verified": ok}
+    else:
+        ok = verify_cubic_identity(fq)
+        detail = {"identity": "cubic", "verified": ok}
+        if ok and fq.seed is not None:
+            detail["characterization"] = check_characterization(fq.seed, fq)
+            ok = ok and detail["characterization"]
+    return (OK if ok else VERIFICATION_FAILED), _emit({"file": str(path), **detail})
 
 
 def cmd_relation(args) -> tuple[int, str]:
@@ -245,38 +253,24 @@ def cmd_quad(args) -> tuple[int, str]:
 def cmd_search(args) -> tuple[int, str]:
     cfg = SearchConfig.from_file(args.config)
     if args.force:
-        cfg = SearchConfig(
-            seeds=cfg.seeds,
-            u_range=cfg.u_range,
-            v_range=cfg.v_range,
-            modes=cfg.modes,
-            dedupe=cfg.dedupe,
-            output=cfg.output,
-            force=True,
-        )
+        cfg = dataclasses.replace(cfg, force=True)
     stats = SearchStats()
     records = run_search(cfg, stats=stats, threads=args.threads)
     if cfg.output:
-        count = write_records(records, cfg.output)
-        summary = {
-            "output": cfg.output,
-            "records": count,
-            "evaluated": stats.evaluated,
-            "degenerate": stats.degenerate,
-            "duplicates": stats.duplicates,
-        }
-        return OK, _emit(summary)
-    lines = []
-    for record in records:
-        lines.append(json.dumps(record.to_json(), separators=(",", ":")))
-    summary = {
+        write_records(records, cfg.output)
+        return OK, _emit({"output": cfg.output, **_search_summary(stats)})
+    text = "\n".join(json.dumps(r.to_json(), separators=(",", ":")) for r in records)
+    print(_emit(_search_summary(stats)), file=sys.stderr)
+    return OK, text
+
+
+def _search_summary(stats: SearchStats) -> dict:
+    return {
         "records": stats.emitted,
         "evaluated": stats.evaluated,
         "degenerate": stats.degenerate,
         "duplicates": stats.duplicates,
     }
-    print(_emit(summary), file=sys.stderr)
-    return OK, "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,8 +3,10 @@
 A nontrivial integer solution of ``a^3 + b^3 + c^3 = d^3`` seeds a
 quadruple of binary quadratic forms ``q_i(u, v)`` satisfying
 ``q1^3 + q2^3 + q3^3 = q4^3`` identically in (u, v).  Everything here is
-verified by brute expansion into :class:`BivariatePoly` rather than
-trusted: the point of the library is independent checking.
+verified by brute expansion rather than trusted: the point of the
+library is independent checking.  The expansion runs on ``q(u, 1)``,
+which loses nothing: ``sum q_i^e - q_4^e`` is homogeneous of degree 2e,
+so its coefficient of ``u^i v^(2e-i)`` is that of ``u^i`` at ``v = 1``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import BivariatePoly
+from .polynomials import Polynomial, powers_telescope
 
 __all__ = [
     "BinaryQuadraticForm",
@@ -44,8 +46,9 @@ class BinaryQuadraticForm:
     def evaluate(self, u: int, v: int) -> int:
         return self.alpha * u * u + self.beta * u * v + self.gamma * v * v
 
-    def to_bivariate(self) -> BivariatePoly:
-        return BivariatePoly({(2, 0): self.alpha, (1, 1): self.beta, (0, 2): self.gamma})
+    def dehomogenize(self) -> Polynomial:
+        """The restriction ``q(u, 1) = alpha*u^2 + beta*u + gamma``."""
+        return Polynomial({2: self.alpha, 1: self.beta, 0: self.gamma})
 
     @property
     def coefficients(self) -> tuple[int, int, int]:
@@ -146,13 +149,11 @@ def sandor_generate(seed: CubicQuadruple) -> FormQuadruple:
 def verify_cubic_identity(fq: FormQuadruple) -> bool:
     """True iff ``q1^3 + q2^3 + q3^3 - q4^3`` expands to zero.
 
-    Full degree-6 bivariate expansion with exact cancellation; no use is
-    made of how the quadruple was produced.
+    Full expansion with exact cancellation, on the restriction to
+    ``v = 1`` (see the module docstring); no use is made of how the
+    quadruple was produced.
     """
-    total = BivariatePoly.zero()
-    for form, sign in zip(fq.forms, (1, 1, 1, -1)):
-        total = total + sign * (form.to_bivariate() ** 3)
-    return total.is_zero
+    return powers_telescope([f.dehomogenize() for f in fq.forms], 3)
 
 
 def content_reduce(fq: FormQuadruple) -> tuple[FormQuadruple, int]:
@@ -215,7 +216,7 @@ def fraction_ratio(seed: CubicQuadruple) -> Fraction:
 
 
 def check_characterization(seed: CubicQuadruple, fq: FormQuadruple) -> bool:
-    """True iff ``(d-b)(q1+q3) == (a+c)(q4-q2)`` as bivariate polynomials."""
-    lhs = (fq.q1.to_bivariate() + fq.q3.to_bivariate()) * (seed.d - seed.b)
-    rhs = (fq.q4.to_bivariate() - fq.q2.to_bivariate()) * (seed.a + seed.c)
-    return (lhs - rhs).is_zero
+    """True iff ``(d-b)(q1+q3) == (a+c)(q4-q2)``, coefficient by coefficient."""
+    s, t = seed.a + seed.c, seed.d - seed.b
+    rows = zip(*(f.coefficients for f in fq.forms))
+    return all(t * (x1 + x3) == s * (x4 - x2) for x1, x2, x3, x4 in rows)

@@ -19,23 +19,7 @@ import threading
 from fractions import Fraction
 from typing import Iterable
 
-Rational = Fraction
-
-__all__ = ["Rational", "gcd", "binomial", "bernoulli", "rational_content"]
-
-
-def gcd(a: int, b: int) -> int:
-    """Nonnegative greatest common divisor; ``gcd(0, 0) == 0``."""
-    return math.gcd(a, b)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) for nonnegative arguments.
-
-    Returns 0 when ``k > n``.
-    """
-    return math.comb(n, k)
-
+__all__ = ["bernoulli", "rational_content"]
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
@@ -64,7 +48,7 @@ def bernoulli(k: int) -> Fraction:
             for j in range(r):
                 b = _BERNOULLI[j]
                 if b:
-                    acc += binomial(r + 1, j) * b
+                    acc += math.comb(r + 1, j) * b
             _BERNOULLI.append(-acc / (r + 1))
     return _BERNOULLI[k]
 

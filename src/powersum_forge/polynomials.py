@@ -1,28 +1,25 @@
-"""Sparse exact polynomials in one and two variables.
+"""Sparse exact univariate polynomials and the one identity prover.
 
 Coefficients are ``fractions.Fraction``; zero coefficients are never
-stored.  These classes are small expansion engines used to verify
+stored.  ``Polynomial`` is a small expansion engine used to verify
 identities by brute-force cancellation, not a general symbolic layer:
-addition, multiplication, integer powers, evaluation, and (for the
-univariate case) exact division are all the algebra the rest of the
-library needs.
+addition, multiplication, integer powers, evaluation and exact division
+are all the algebra the rest of the library needs.
+
+Every identity the library proves has one shape, a sum of e-th powers
+that telescopes to a single e-th power, and :func:`powers_telescope`
+is the only place that shape is expanded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 #: Degree reported for the zero polynomial.
 NEG_INFINITY = float("-inf")
-
-
-def _as_items(source) -> Iterable[tuple]:
-    if isinstance(source, Mapping):
-        return source.items()
-    return source
 
 
 class Polynomial:
@@ -32,7 +29,8 @@ class Polynomial:
 
     def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         acc: dict[int, Fraction] = {}
-        for deg, raw in _as_items(coeffs):
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        for deg, raw in items:
             d = int(deg)
             if d != deg or d < 0:
                 raise ValueError(f"invalid degree {deg!r}")
@@ -153,12 +151,6 @@ class Polynomial:
                     rem.pop(nd, None)
         return Polynomial(quo), Polynomial(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
@@ -177,97 +169,14 @@ class Polynomial:
         return f"Polynomial({{{inner}}})"
 
 
-class BivariatePoly:
-    """Polynomial in two variables, keyed by (degree_u, degree_v)."""
+def powers_telescope(parts: Sequence[Polynomial], exponent: int) -> bool:
+    """True iff ``parts[0]^e + ... + parts[-2]^e == parts[-1]^e`` exactly.
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], Scalar] | Iterable = ()):
-        acc: dict[tuple[int, int], Fraction] = {}
-        for key, raw in _as_items(coeffs):
-            i, j = int(key[0]), int(key[1])
-            if i < 0 or j < 0:
-                raise ValueError(f"invalid exponent pair {key!r}")
-            acc[(i, j)] = acc.get((i, j), Fraction(0)) + Fraction(raw)
-        self._coeffs = {k: c for k, c in acc.items() if c}
-
-    @classmethod
-    def zero(cls) -> "BivariatePoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, deg_u: int, deg_v: int, coeff: Scalar = 1) -> "BivariatePoly":
-        return cls({(deg_u, deg_v): coeff})
-
-    @property
-    def coefficients(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self._coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coefficient(self, deg_u: int, deg_v: int) -> Fraction:
-        return self._coeffs.get((deg_u, deg_v), Fraction(0))
-
-    def evaluate(self, u: Scalar, v: Scalar) -> Fraction:
-        u, v = Fraction(u), Fraction(v)
-        return sum((c * u**i * v**j for (i, j), c in self._coeffs.items()), Fraction(0))
-
-    def __add__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return BivariatePoly(out)
-
-    def __neg__(self):
-        return BivariatePoly({k: -c for k, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BivariatePoly({k: c * other for k, c in self._coeffs.items()})
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self._coeffs.items():
-            for (i2, j2), c2 in other._coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BivariatePoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = BivariatePoly.monomial(0, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}: {c}" for k, c in sorted(self._coeffs.items()))
-        return f"BivariatePoly({{{inner}}})"
+    The difference is expanded in full and must cancel to zero; no use
+    is made of how the parts were produced.
+    """
+    *lhs, rhs = parts
+    total = -(rhs**exponent)
+    for part in lhs:
+        total = total + part**exponent
+    return total.is_zero

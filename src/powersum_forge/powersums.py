@@ -20,10 +20,11 @@ the identity builders ever use).
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .exactcore import bernoulli, binomial, rational_content
+from .exactcore import bernoulli, rational_content
 from .polynomials import Polynomial
 
 Scalar = Union[int, Fraction]
@@ -36,8 +37,6 @@ __all__ = [
     "PowerSumCombo",
     "S",
     "faulhaber",
-    "eval_powersum",
-    "combo_to_polynomial",
     "product",
     "square",
     "s1_power",
@@ -181,17 +180,8 @@ def faulhaber(k: int) -> Polynomial:
         b = bernoulli(kk - j)
         if b:
             sign = -1 if (kk - j) % 2 else 1
-            coeffs[j] = Fraction(binomial(kk, j), kk) * sign * b
+            coeffs[j] = Fraction(math.comb(kk, j), kk) * sign * b
     return Polynomial(coeffs)
-
-
-def eval_powersum(k: int, n: Scalar) -> Fraction:
-    """``S_k(n)`` by polynomial evaluation; defined for negative ``n`` too."""
-    return faulhaber(k).evaluate(n)
-
-
-def combo_to_polynomial(combo: PowerSumCombo) -> Polynomial:
-    return combo.to_polynomial()
 
 
 def product(k: int, m: int) -> PowerSumCombo:
@@ -209,7 +199,7 @@ def product(k: int, m: int) -> PowerSumCombo:
             if not b:
                 continue
             e = k + m + 1 - 2 * j
-            coeff = Fraction(binomial(top + 1, 2 * j), top + 1) * b
+            coeff = Fraction(math.comb(top + 1, 2 * j), top + 1) * b
             terms[e] = terms.get(e, Fraction(0)) + coeff
     return PowerSumCombo(terms)
 
@@ -223,7 +213,7 @@ def square(k: int) -> PowerSumCombo:
         if not b:
             continue
         e = 2 * k + 1 - 2 * j
-        terms[e] = terms.get(e, Fraction(0)) + Fraction(2, k + 1) * binomial(k + 1, 2 * j) * b
+        terms[e] = terms.get(e, Fraction(0)) + Fraction(2, k + 1) * math.comb(k + 1, 2 * j) * b
     return PowerSumCombo(terms)
 
 
@@ -239,7 +229,7 @@ def s1_power(k: int) -> PowerSumCombo:
     terms: dict[int, Fraction] = {}
     for j in range((k - 1) // 2 + 1):
         e = 2 * k - 1 - 2 * j
-        terms[e] = terms.get(e, Fraction(0)) + scale * binomial(k, 2 * j + 1)
+        terms[e] = terms.get(e, Fraction(0)) + scale * math.comb(k, 2 * j + 1)
     return PowerSumCombo(terms)
 
 
@@ -254,7 +244,7 @@ def s2_s1_power(k: int) -> PowerSumCombo:
     terms: dict[int, Fraction] = {}
     for j in range((k + 1) // 2 + 1):
         e = 2 * k + 2 - 2 * j
-        coeff = scale * Fraction(2 * k + 3 - 2 * j, 2 * j + 1) * binomial(k + 1, 2 * j)
+        coeff = scale * Fraction(2 * k + 3 - 2 * j, 2 * j + 1) * math.comb(k + 1, 2 * j)
         terms[e] = terms.get(e, Fraction(0)) + coeff
     return PowerSumCombo(terms)
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cubic import BinaryQuadraticForm
-from .polynomials import BivariatePoly, Polynomial
+from .polynomials import Polynomial, powers_telescope
 from .powersums import PowerSumCombo, S, product, square
 
 __all__ = [
     "PythagoreanQuadruple",
     "SquareFormQuadruple",
     "verify_square_identity",
-    "verify_square_triple",
     "piezas_generate",
     "piezas_degenerate_triple",
     "powersum_quadruple",
@@ -71,16 +70,12 @@ class SquareFormQuadruple:
 
 
 def verify_square_identity(sq: SquareFormQuadruple) -> bool:
-    """Exact quartic expansion of ``q1^2 + q2^2 + q3^2 - q4^2``."""
-    total = BivariatePoly.zero()
-    for form, sign in zip(sq.forms, (1, 1, 1, -1)):
-        total = total + sign * (form.to_bivariate() ** 2)
-    return total.is_zero
+    """Exact quartic expansion of ``q1^2 + q2^2 + q3^2 - q4^2``.
 
-
-def verify_square_triple(forms: tuple[BinaryQuadraticForm, ...]) -> bool:
-    r, s, t = forms
-    return (r.to_bivariate() ** 2 + s.to_bivariate() ** 2 - t.to_bivariate() ** 2).is_zero
+    Expanded on the restriction to ``v = 1``, which is exact for
+    homogeneous forms (see :mod:`powersum_forge.cubic`).
+    """
+    return powers_telescope([f.dehomogenize() for f in sq.forms], 2)
 
 
 def piezas_generate(pq: PythagoreanQuadruple) -> SquareFormQuadruple:
@@ -116,7 +111,7 @@ def piezas_degenerate_triple(
         BinaryQuadraticForm(e, 0, -e),
         BinaryQuadraticForm(d, -2 * a, d),
     )
-    if not verify_square_triple(forms):
+    if not powers_telescope([f.dehomogenize() for f in forms], 2):
         raise RuntimeError("degenerate triple failed verification")
     return forms
 
@@ -155,8 +150,7 @@ def powersum_triple(k: int, m: int) -> tuple[PowerSumCombo, PowerSumCombo, Power
     leg_diff = square(k) - square(m)
     leg_cross = 2 * product(k, m)
     hyp = square(k) + square(m)
-    p1, p2, p3 = (c.to_polynomial() for c in (leg_diff, leg_cross, hyp))
-    if not (p1 * p1 + p2 * p2 - p3 * p3).is_zero:
+    if not powers_telescope([c.to_polynomial() for c in (leg_diff, leg_cross, hyp)], 2):
         raise RuntimeError("power-sum triple failed verification")
     return (leg_diff, leg_cross, hyp)
 

@@ -28,7 +28,7 @@ from typing import Union
 
 from .cubic import BinaryQuadraticForm, FormQuadruple, verify_cubic_identity
 from .exactcore import rational_content
-from .polynomials import Polynomial
+from .polynomials import Polynomial, powers_telescope
 from .powersums import PowerSumCombo, extract_common_factor, product, s1_power, s2_s1_power, square
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "ComboQuadruple",
     "build_relation",
     "PolyIdentity",
-    "verify_poly_identity",
     "expand_relation",
     "factor_common_root",
 ]
@@ -157,11 +156,6 @@ class PolyIdentity:
         return tuple(p.evaluate(x) for p in self.polys)
 
 
-def verify_poly_identity(pi: PolyIdentity) -> bool:
-    p1, p2, p3, p4 = pi.polys
-    return (p1**3 + p2**3 + p3**3 - p4**3).is_zero
-
-
 def expand_relation(cq: ComboQuadruple) -> PolyIdentity:
     """Expand each combo into its polynomial and rescale to integers.
 
@@ -173,7 +167,7 @@ def expand_relation(cq: ComboQuadruple) -> PolyIdentity:
     content = rational_content(v for p in exact for v in p.coefficients.values())
     scale = 1 / content if content else Fraction(1)
     identity = PolyIdentity(tuple(p * scale for p in exact), scale)
-    if not verify_poly_identity(identity):
+    if not powers_telescope(identity.polys, 3):
         raise RuntimeError("expanded relation failed cubic verification")
     return identity
 
@@ -206,6 +200,6 @@ def factor_common_root(pi: PolyIdentity) -> tuple[PolyIdentity, Polynomial]:
         t += 1
     divisor = Polynomial.monomial(shift) * _U_PLUS_1**t
     quotient = PolyIdentity(tuple(polys), pi.scale)
-    if not verify_poly_identity(quotient):
+    if not powers_telescope(quotient.polys, 3):
         raise RuntimeError("factored relation failed cubic verification")
     return quotient, divisor

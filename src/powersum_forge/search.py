@@ -8,9 +8,10 @@ is tagged when it exhibits a two-cubes coincidence (an integer that is a
 sum of two positive cubes in two distinct ways).
 
 Evaluation order is fixed: seeds in configuration order, then mode,
-then u ascending, then v ascending.  Workers only parallelize the pure
-evaluation of u-stripes and their outputs are merged back in stripe
-order, so parallel and serial runs emit byte-identical records.
+then u ascending, then v ascending.  The search runs on one thread and
+evaluates lazily, one point at a time, so memory stays bounded however
+large the grid; the ``threads`` argument is accepted for compatibility
+and changes nothing, so every run emits byte-identical records.
 
 Relation modes (``Q:k,m`` / ``F:k``) evaluate the expanded univariate
 identity at each integer ``u`` in ``u_range``; the record stores
@@ -22,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -49,13 +49,14 @@ __all__ = [
     "run_search",
     "write_records",
     "load_records",
+    "scan_records",
     "verify_record",
 ]
 
 #: Hard ceiling on lattice points per run unless explicitly forced.
 GRID_GUARDRAIL = 10_000_000
 
-#: Environment variable capping the worker count.
+#: Environment variable capping :func:`resolve_workers`.
 THREADS_ENV = "POWERSUM_FORGE_THREADS"
 
 SearchMode = Union[str, RelationMode]  # "cubic" | QMode | FMode
@@ -148,7 +149,10 @@ class SolutionRecord:
 
 
 def verify_record(record: SolutionRecord) -> None:
-    """Re-derive every field of a record; raise ValueError on mismatch."""
+    """Re-derive a record's fields from ``raw`` and ``seed``; raise ValueError on mismatch.
+
+    ``raw`` itself is not re-evaluated from ``seed`` and ``uv``.
+    """
     x1, x2, x3, x4 = record.reduced
     if x1**3 + x2**3 + x3**3 != x4**3:
         raise ValueError(f"reduced tuple {record.reduced} fails the cubic equation")
@@ -205,15 +209,16 @@ class SearchConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SearchConfig":
-        seeds = tuple(CubicQuadruple(*(int(x) for x in s)) for s in obj["seeds"])
-        modes = tuple(
-            m if m == "cubic" else parse_mode(m) for m in obj.get("modes", ["cubic"])
-        )
+        """Config from parsed JSON; any malformed field raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("search config must be a JSON object")
         return cls(
-            seeds=seeds,
-            u_range=(int(obj["u_range"][0]), int(obj["u_range"][1])),
-            v_range=(int(obj["v_range"][0]), int(obj["v_range"][1])),
-            modes=modes,
+            seeds=_config_field(
+                obj, "seeds", lambda raw: tuple(CubicQuadruple(*map(int, s)) for s in raw)
+            ),
+            u_range=_config_field(obj, "u_range", _int_pair),
+            v_range=_config_field(obj, "v_range", _int_pair),
+            modes=_config_field(obj, "modes", _parse_modes) if "modes" in obj else ("cubic",),
             dedupe=bool(obj.get("dedupe", True)),
             output=obj.get("output"),
             force=bool(obj.get("force", False)),
@@ -228,8 +233,31 @@ class SearchConfig:
         return cls.from_dict(json.loads(text))
 
 
+def _config_field(obj: dict, name: str, parse):
+    """``parse(obj[name])``, reporting a missing or malformed field as ValueError."""
+    if name not in obj:
+        raise ValueError(f"search config has no {name!r} field")
+    try:
+        return parse(obj[name])
+    except (IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"search config field {name!r} is malformed: {exc!r}") from None
+
+
+def _int_pair(raw) -> tuple[int, int]:
+    return (int(raw[0]), int(raw[1]))
+
+
+def _parse_modes(raw) -> tuple[SearchMode, ...]:
+    if isinstance(raw, str):
+        raise TypeError("modes must be a list")
+    return tuple(m if m == "cubic" else parse_mode(str(m)) for m in raw)
+
+
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: requested (or cpu count), capped by the env var."""
+    """Worker count: requested (or cpu count), capped by the env var.
+
+    Only reported; the search itself is single-threaded.
+    """
     workers = requested if requested else (os.cpu_count() or 1)
     raw_cap = os.environ.get(THREADS_ENV)
     if raw_cap:
@@ -251,7 +279,8 @@ def run_search(
     (0, 0)) are skipped and counted in ``stats.degenerate``.  With
     ``dedupe`` enabled, only the first occurrence of each canonical
     quadruple is emitted.  The guardrail on total lattice points is
-    checked eagerly, before any evaluation.
+    checked eagerly, before any evaluation.  ``threads`` is accepted for
+    compatibility and ignored: the search is single-threaded.
     """
     points = cfg.lattice_points
     if points > GRID_GUARDRAIL and not cfg.force:
@@ -261,16 +290,15 @@ def run_search(
         )
     if stats is None:
         stats = SearchStats()
-    workers = resolve_workers(threads)
-    return _search_iter(cfg, stats, workers)
+    return _search_iter(cfg, stats)
 
 
-def _search_iter(cfg: SearchConfig, stats: SearchStats, workers: int) -> Iterator[SolutionRecord]:
+def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionRecord]:
     seen: set[IntQuad] = set()
     for seed in cfg.seeds:
         ratio = fraction_ratio(seed)
         for mode in cfg.modes:
-            for uv, raw in _evaluate_family(seed, mode, cfg, workers):
+            for uv, raw in _evaluate_family(seed, mode, cfg):
                 stats.evaluated += 1
                 if any(x == 0 for x in raw):
                     stats.degenerate += 1
@@ -297,33 +325,18 @@ def _evaluate_family(
     seed: CubicQuadruple,
     mode: SearchMode,
     cfg: SearchConfig,
-    workers: int,
 ) -> Iterator[tuple[tuple[int, int], IntQuad]]:
     u_lo, u_hi = cfg.u_range
     v_lo, v_hi = cfg.v_range
-    stripes = range(u_lo, u_hi + 1)
-
+    family, _ = content_reduce(sandor_generate(seed))
     if mode == "cubic":
-        family, _ = content_reduce(sandor_generate(seed))
-
-        def stripe(u: int) -> list[tuple[tuple[int, int], IntQuad]]:
-            return [((u, v), evaluate_forms(family, u, v)) for v in range(v_lo, v_hi + 1)]
-
+        for u in range(u_lo, u_hi + 1):
+            for v in range(v_lo, v_hi + 1):
+                yield (u, v), evaluate_forms(family, u, v)
     else:
-        family, _ = content_reduce(sandor_generate(seed))
         identity = expand_relation(build_relation(family, mode))
-
-        def stripe(u: int) -> list[tuple[tuple[int, int], IntQuad]]:
-            values = identity.evaluate(u)
-            return [((u, 0), tuple(int(x) for x in values))]
-
-    if workers <= 1:
-        for u in stripes:
-            yield from stripe(u)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(stripe, stripes):
-                yield from chunk
+        for u in range(u_lo, u_hi + 1):
+            yield (u, 0), tuple(int(x) for x in identity.evaluate(u))
 
 
 def write_records(records: Iterable[SolutionRecord], destination: str | Path | IO[str]) -> int:
@@ -342,21 +355,41 @@ def write_records(records: Iterable[SolutionRecord], destination: str | Path | I
     return count
 
 
+def scan_records(
+    lines: Iterable[str], verify: bool = True
+) -> Iterator[tuple[int, SolutionRecord | Exception]]:
+    """Decode JSONL solution records one line at a time.
+
+    Yields ``(line_number, record)`` for every non-blank line, with the
+    record re-verified by default; a line that fails to decode or
+    verify yields its exception in place of the record, and scanning
+    goes on.  Only one line is held in memory at a time.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object")
+            record = SolutionRecord.from_json(obj)
+            if verify:
+                verify_record(record)
+        except (ArithmeticError, IndexError, KeyError, TypeError, ValueError) as exc:
+            yield lineno, exc
+        else:
+            yield lineno, record
+
+
 def load_records(path: str | Path, verify: bool = True) -> list[SolutionRecord]:
     """Read a JSONL solutions file, re-verifying each record by default."""
     out: list[SolutionRecord] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            for lineno, item in scan_records(fh, verify):
+                if isinstance(item, Exception):
+                    raise ValueError(f"{path}:{lineno}: {item}") from item
+                out.append(item)
     except OSError as exc:
         raise ValueError(f"cannot read solutions file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = SolutionRecord.from_json(json.loads(line))
-            if verify:
-                verify_record(record)
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        out.append(record)
     return out

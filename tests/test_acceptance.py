@@ -26,10 +26,9 @@ from powersum_forge.cubic import (
     verify_cubic_identity,
 )
 from powersum_forge.exactcore import bernoulli
-from powersum_forge.polynomials import Polynomial
+from powersum_forge.polynomials import Polynomial, powers_telescope
 from powersum_forge.powersums import (
     PowerSumCombo,
-    combo_to_polynomial,
     extract_common_factor,
     faulhaber,
     product,
@@ -53,7 +52,6 @@ from powersum_forge.relations import (
     build_relation,
     expand_relation,
     factor_common_root,
-    verify_poly_identity,
 )
 from powersum_forge.search import SearchConfig, canonicalize, detect_taxicab, run_search, write_records
 
@@ -84,6 +82,13 @@ from goldens import (
     TABLE1,
     TRIPLE_31_DOUBLED,
 )
+
+# Stand-ins for the removed combo_to_polynomial and verify_poly_identity.
+combo_to_polynomial = PowerSumCombo.to_polynomial
+
+
+def verify_poly_identity(pi):
+    return powers_telescope(pi.polys, 3)
 
 
 @contextmanager

@@ -222,3 +222,68 @@ def test_search_guardrail_cli(capsys, tmp_path):
     code, _, err = run(capsys, "search", "--config", str(cfg_path))
     assert code == 2
     assert "guardrail" in err
+
+
+def write_config(tmp_path, obj):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "obj,field",
+    [
+        ({"u_range": [0, 1], "v_range": [0, 1]}, "seeds"),
+        ({"seeds": [[1, 6, 8, 9]], "u_range": [1], "v_range": [0, 1]}, "u_range"),
+        ({"seeds": 1689, "u_range": [0, 1], "v_range": [0, 1]}, "seeds"),
+        ([], "JSON object"),
+    ],
+)
+def test_search_malformed_config_is_usage_error(capsys, tmp_path, obj, field):
+    code, _, err = run(capsys, "search", "--config", write_config(tmp_path, obj))
+    assert code == 2
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
+def test_verify_single_record_jsonl(capsys, tmp_path):
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [1, 1], "v_range": [2, 2]}
+    code, out, _ = run(capsys, "search", "--config", write_config(tmp_path, cfg))
+    assert code == 0 and len(out.splitlines()) == 1
+    path = tmp_path / "one.jsonl"
+    path.write_text(out + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert json.loads(out) == {"file": str(path), "records": 1, "verified": True, "failures": []}
+
+
+def test_verify_pretty_printed_sandor_output(capsys, tmp_path):
+    code, out, _ = run(capsys, "sandor", "1", "6", "8", "9", "--reduce")
+    assert code == 0 and len(out.splitlines()) > 1
+    path = tmp_path / "family.json"
+    path.write_text(out + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["identity"] == "cubic" and report["characterization"] is True
+
+
+def test_verify_compact_one_line_form_file(capsys, tmp_path):
+    obj = run_json(capsys, "quad", "piezas", "2", "3", "6", "7")
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(obj, separators=(",", ":")), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert json.loads(out)["identity"] == "square"
+
+
+def test_verify_jsonl_reports_bad_lines(capsys, tmp_path):
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [1, 1], "v_range": [2, 2]}
+    _, good, _ = run(capsys, "search", "--config", write_config(tmp_path, cfg))
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(f"not json\n{good}\n[1]\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["records"] == 3
+    assert [f.split(":")[0] for f in report["failures"]] == ["line 1", "line 3"]

@@ -1,10 +1,26 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersum_forge.polynomials import NEG_INFINITY, BivariatePoly, Polynomial
+from powersum_forge.cubic import (
+    BinaryQuadraticForm,
+    CubicQuadruple,
+    FormQuadruple,
+    content_reduce,
+    sandor_generate,
+    substitute,
+    verify_cubic_identity,
+)
+from powersum_forge.polynomials import NEG_INFINITY, Polynomial, powers_telescope
+from powersum_forge.quadratic import (
+    PythagoreanQuadruple,
+    SquareFormQuadruple,
+    piezas_generate,
+    verify_square_identity,
+)
+from powersum_forge.relations import FMode, QMode, build_relation
 
 coeffs = st.dictionaries(st.integers(0, 8), st.fractions(max_denominator=50), max_size=6)
 
@@ -89,40 +105,105 @@ def test_polynomial_hash_consistency():
     assert Polynomial({1: 2}) in {Polynomial({1: 2})}
 
 
-def test_bivariate_basics():
-    u = BivariatePoly.monomial(1, 0)
-    v = BivariatePoly.monomial(0, 1)
-    form = 3 * u * u + 2 * u * v - v * v
-    assert form.coefficient(2, 0) == 3
-    assert form.coefficient(1, 1) == 2
-    assert form.coefficient(0, 2) == -1
-    assert form.evaluate(1, 2) == 3 + 4 - 4
-    assert (form - form).is_zero
-    assert form**0 == BivariatePoly.monomial(0, 0)
+# --- powers_telescope ---------------------------------------------------------
 
 
-def test_bivariate_rejects_negative_exponents():
-    with pytest.raises(ValueError):
-        BivariatePoly({(-1, 0): 1})
+def test_powers_telescope_examples():
+    u = Polynomial.monomial(1)
+    assert powers_telescope([Polynomial.constant(x) for x in (3, 4, 5)], 2)
+    assert powers_telescope([u * u - 1, 2 * u, u * u + 1], 2)
+    assert not powers_telescope([u * u - 1, 2 * u, u * u + 2], 2)
+    assert powers_telescope([u, u], 3)
+    assert not powers_telescope([u, -u], 3)
 
 
-def test_bivariate_binomial_cube():
-    # (u + v)^3 expands with binomial coefficients
-    s = BivariatePoly.monomial(1, 0) + BivariatePoly.monomial(0, 1)
-    cube = s**3
-    assert cube == BivariatePoly({(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1})
+# Cross-check against plain integer arithmetic.  A polynomial of degree at
+# most D that vanishes at D + 1 distinct points is zero, so sampling
+# sum p_i^e - p_last^e at that many integers decides the identity exactly.
 
 
+def _telescopes_at_points(values, exponent, points) -> bool:
+    """``values(x)`` gives the parts at ``x``; check the identity at each point."""
+    for x in points:
+        *lhs, rhs = values(x)
+        if sum(v**exponent for v in lhs) != rhs**exponent:
+            return False
+    return True
+
+
+def _forms_telescope(forms, exponent) -> bool:
+    # q(u, 1)^e has degree at most 2e
+    return _telescopes_at_points(
+        lambda u: [f.evaluate(u, 1) for f in forms], exponent, range(2 * exponent + 1)
+    )
+
+
+def _poly_value(p: Polynomial, x: int) -> Fraction:
+    return sum((c * x**d for d, c in p.coefficients.items()), Fraction(0))
+
+
+CUBIC_SEEDS = [(1, 6, 8, 9), (3, 4, 5, 6), (1, 8, 6, 9), (9, -8, -6, 1), (6, 8, 1, 9)]
+PYTHAGOREAN_SEEDS = [(2, 3, 6, 7), (1, 2, 2, 3), (8, 9, 12, 17), (2, 6, 9, 11)]
+small = st.integers(-3, 3)
+perturbation = st.one_of(st.just(0), st.integers(-2, 2))
+
+
+def _perturb(forms, which, coeff, delta):
+    out = list(forms)
+    values = list(out[which].coefficients)
+    values[coeff] += delta
+    out[which] = BinaryQuadraticForm(*values)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)),
-        st.fractions(max_denominator=20),
-        max_size=5,
-    ),
-    st.integers(-4, 4),
-    st.integers(-4, 4),
+    st.sampled_from(CUBIC_SEEDS),
+    st.tuples(small, small, small, small),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    perturbation,
 )
-def test_bivariate_evaluation_homomorphism(cs, u, v):
-    p = BivariatePoly(cs)
-    q = p * p
-    assert q.evaluate(u, v) == p.evaluate(u, v) ** 2
+def test_verify_cubic_identity_matches_integer_check(seed, matrix, which, coeff, delta):
+    m11, m12, m21, m22 = matrix
+    family = substitute(sandor_generate(CubicQuadruple(*seed)), ((m11, m12), (m21, m22)))
+    forms = _perturb(family.forms, which, coeff, delta)
+    fq = FormQuadruple(*forms)
+    assert verify_cubic_identity(fq) == _forms_telescope(forms, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(small, small, small), min_size=4, max_size=4))
+def test_random_forms_match_integer_check(rows):
+    forms = [BinaryQuadraticForm(*row) for row in rows]
+    assert verify_cubic_identity(FormQuadruple(*forms)) == _forms_telescope(forms, 3)
+    assert verify_square_identity(SquareFormQuadruple(*forms)) == _forms_telescope(forms, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PYTHAGOREAN_SEEDS), st.integers(0, 3), st.integers(0, 2), perturbation)
+def test_verify_square_identity_matches_integer_check(seed, which, coeff, delta):
+    forms = _perturb(piezas_generate(PythagoreanQuadruple(*seed)).forms, which, coeff, delta)
+    sq = SquareFormQuadruple(*forms)
+    assert verify_square_identity(sq) == _forms_telescope(forms, 2)
+    assert verify_square_identity(sq) == (delta == 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(CUBIC_SEEDS),
+    st.sampled_from([QMode(1, 2), FMode(2)]),
+    st.integers(0, 3),
+    st.integers(0, 8),
+    perturbation,
+)
+def test_relation_polynomials_match_integer_check(seed, mode, which, degree, delta):
+    family, _ = content_reduce(sandor_generate(CubicQuadruple(*seed)))
+    polys = [c.to_polynomial() for c in build_relation(family, mode).combos]
+    polys[which] = polys[which] + Polynomial.monomial(degree, delta)
+    top = 3 * max(int(p.degree) for p in polys if not p.is_zero)
+    expected = _telescopes_at_points(
+        lambda x: [_poly_value(p, x) for p in polys], 3, range(top + 1)
+    )
+    assert powers_telescope(polys, 3) == expected
+    assert expected == (delta == 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powersum_forge import search
 from powersum_forge.cubic import CubicQuadruple
 from powersum_forge.relations import FMode, QMode
 from powersum_forge.search import (
@@ -18,6 +19,7 @@ from powersum_forge.search import (
     load_records,
     resolve_workers,
     run_search,
+    scan_records,
     verify_record,
     write_records,
 )
@@ -131,6 +133,27 @@ def test_config_from_dict_and_file(tmp_path):
     assert cfg.dedupe is False
     assert cfg.output == "out.jsonl"
     assert cfg.lattice_points == 2 * (11 * 11 + 11 + 11)
+
+
+@pytest.mark.parametrize(
+    "obj,field",
+    [
+        ({"u_range": [0, 1], "v_range": [0, 1]}, "seeds"),
+        ({"seeds": 5, "u_range": [0, 1], "v_range": [0, 1]}, "seeds"),
+        ({"seeds": [[1, 6, 8]], "u_range": [0, 1], "v_range": [0, 1]}, "seeds"),
+        ({"seeds": [[1, 6, 8, 9]], "u_range": [1], "v_range": [0, 1]}, "u_range"),
+        ({"seeds": [[1, 6, 8, 9]], "u_range": [0, 1]}, "v_range"),
+        ({"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": [0, 1], "modes": "Q"}, "modes"),
+    ],
+)
+def test_config_from_dict_names_bad_field(obj, field):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig.from_dict(obj)
+
+
+def test_config_from_dict_rejects_non_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        SearchConfig.from_dict([])
 
 
 def test_missing_config_file():
@@ -247,6 +270,23 @@ def test_parallel_and_serial_runs_are_byte_identical(tmp_path):
     assert serial.stat().st_size > 0
 
 
+def test_search_evaluates_lazily_on_large_grid(monkeypatch):
+    calls = 0
+    evaluate_forms = search.evaluate_forms
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return evaluate_forms(*args)
+
+    monkeypatch.setattr(search, "evaluate_forms", counted)
+    cfg = config([(1, 6, 8, 9)], u=(-500, 500), v=(-500, 500))
+    records = run_search(cfg, threads=8)
+    next(records)
+    records.close()
+    assert 1 <= calls <= 1001  # at most one u-stripe of the 1001 x 1001 grid
+
+
 # --- persistence ------------------------------------------------------------------
 
 
@@ -293,6 +333,23 @@ def test_load_rejects_corrupted_record(tmp_path):
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="taxicab"):
         load_records(path)
+
+
+def test_scan_records_reports_each_bad_line_and_goes_on():
+    good = json.dumps(next(run_search(config([(1, 6, 8, 9)], u=(1, 1), v=(2, 2)))).to_json())
+    lines = [good + "\n", "\n", "not json\n", "[1, 2]\n", '{"seed": ["1"]}\n', good + "\n"]
+    items = list(scan_records(lines))
+    assert [lineno for lineno, _ in items] == [1, 3, 4, 5, 6]
+    kinds = [isinstance(item, Exception) for _, item in items]
+    assert kinds == [False, True, True, True, False]
+    assert items[0][1].taxicab == 1729
+
+
+def test_load_records_single_record(tmp_path):
+    record = next(run_search(config([(1, 6, 8, 9)], u=(1, 1), v=(2, 2))))
+    path = tmp_path / "one.jsonl"
+    assert write_records([record], path) == 1
+    assert load_records(path) == [record]
 
 
 def test_verify_record_checks_ratio():
