@@ -1,10 +1,19 @@
-"""Sparse exact univariate polynomials and the one identity prover.
+"""Exact univariate polynomials over the rationals, and the one identity prover.
 
-Coefficients are ``fractions.Fraction``; zero coefficients are never
-stored.  ``Polynomial`` is a small expansion engine used to verify
-identities by brute-force cancellation, not a general symbolic layer:
-addition, multiplication, integer powers, evaluation and exact division
-are all the algebra the rest of the library needs.
+A :class:`Polynomial` is stored as one dense list of integer numerators
+(index = degree) over one positive integer denominator.  It is kept in
+normal form: trailing zero numerators are trimmed, and the numerators'
+content shares no factor with the denominator, so equal polynomials have
+equal representations (the zero polynomial is ``[]`` over 1).  The
+public view is still rational: ``coefficients`` and ``coefficient()``
+return ``Fraction``s, and ``evaluate`` returns a ``Fraction``.
+
+Keeping one denominator turns the algebra into integer arithmetic:
+products and powers are integer convolutions, evaluation at an integer
+is Horner's rule on integers with one division at the end, and division
+by a polynomial with leading coefficient +-1 is synthetic division.
+``Polynomial`` is a small expansion engine used to verify identities by
+brute-force cancellation, not a general symbolic layer.
 
 Every identity the library proves has one shape, a sum of e-th powers
 that telescopes to a single e-th power, and :func:`powers_telescope`
@@ -13,6 +22,7 @@ is the only place that shape is expanded.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -23,9 +33,9 @@ NEG_INFINITY = float("-inf")
 
 
 class Polynomial:
-    """Univariate polynomial over the rationals, stored sparsely."""
+    """Univariate polynomial over the rationals: integer numerators over one denominator."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         acc: dict[int, Fraction] = {}
@@ -35,15 +45,33 @@ class Polynomial:
             if d != deg or d < 0:
                 raise ValueError(f"invalid degree {deg!r}")
             acc[d] = acc.get(d, Fraction(0)) + Fraction(raw)
-        self._coeffs = {d: c for d, c in acc.items() if c}
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        num = [0] * (max(acc) + 1 if acc else 0)
+        for d, c in acc.items():
+            num[d] = c.numerator * (den // c.denominator)
+        self._num, self._den = _normalize(num, den)
+
+    @classmethod
+    def _make(cls, num: list[int], den: int) -> "Polynomial":
+        """Wrap numerators and a positive denominator already in normal form."""
+        poly = cls.__new__(cls)
+        poly._num = num
+        poly._den = den
+        return poly
+
+    @classmethod
+    def _from_ints(cls, num: list[int], den: int = 1) -> "Polynomial":
+        """Normalize any integer numerators over a nonzero denominator."""
+        return cls._make(*_normalize(num, den))
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return cls._make([], 1)
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls({0: value})
+        value = Fraction(value)
+        return cls._from_ints([value.numerator], value.denominator)
 
     @classmethod
     def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
@@ -51,47 +79,61 @@ class Polynomial:
 
     @property
     def coefficients(self) -> dict[int, Fraction]:
-        return dict(self._coeffs)
+        den = self._den
+        return {d: Fraction(c, den) for d, c in enumerate(self._num) if c}
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def degree(self):
         """Largest degree present, or -inf for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else NEG_INFINITY
+        return len(self._num) - 1 if self._num else NEG_INFINITY
 
     @property
     def lowest_degree(self):
-        return min(self._coeffs) if self._coeffs else NEG_INFINITY
+        return next((d for d, c in enumerate(self._num) if c), NEG_INFINITY)
 
     def coefficient(self, degree: int) -> Fraction:
-        return self._coeffs.get(degree, Fraction(0))
+        if 0 <= degree < len(self._num):
+            return Fraction(self._num[degree], self._den)
+        return Fraction(0)
 
     def evaluate(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
-        return sum((c * x**d for d, c in self._coeffs.items()), Fraction(0))
+        """Horner's rule on the numerators, divided by the denominator once.
+
+        At an integer ``x`` every step is an integer operation.
+        """
+        if not isinstance(x, int):
+            x = Fraction(x)
+        acc = 0
+        for c in reversed(self._num):
+            acc = acc * x + c
+        return Fraction(acc, self._den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for d, c in other._coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return Polynomial(out)
+        den = math.lcm(self._den, other._den)
+        a, fa = self._num, den // self._den
+        b, fb = other._num, den // other._den
+        if len(a) < len(b):
+            a, fa, b, fb = b, fb, a, fa
+        out = [c * fa for c in a]
+        for d, c in enumerate(b):
+            out[d] += c * fb
+        return Polynomial._from_ints(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({d: -c for d, c in self._coeffs.items()})
+        return Polynomial._make([-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -100,83 +142,143 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial({d: c * other for d, c in self._coeffs.items()})
+            other = Fraction(other)
+            return Polynomial._from_ints(
+                [c * other.numerator for c in self._num], self._den * other.denominator
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                d = d1 + d2
-                out[d] = out.get(d, Fraction(0)) + c1 * c2
-        return Polynomial(out)
+        return Polynomial._from_ints(_convolve(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        # Gauss's lemma: content(f^n) = content(f)^n, still coprime to den^n,
+        # and the leading numerator stays nonzero, so the result is normal.
+        return Polynomial._make(_int_pow(self._num, n), self._den**n)
 
     def __divmod__(self, other):
-        """Exact long division over the rationals."""
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        """Exact division over the rationals: ``self == q * other + r``.
+
+        Runs on integers.  With ``other``'s numerators ``B`` (leading
+        entry ``L``) and ``k`` quotient terms, ``L^k * self`` divides
+        by ``B`` with an integer quotient and remainder (pseudo-division),
+        so every step below divides exactly.  When ``L`` is +-1, as for
+        a monic integer divisor like ``u + 1``, no scaling is needed and
+        this is plain synthetic division.
+        """
+        other = _lift(other)
+        if other is None:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = dict(self._coeffs)
-        quo: dict[int, Fraction] = {}
-        d_div = other.degree
-        lead = other.coefficient(d_div)
-        while rem and max(rem) >= d_div:
-            d = max(rem)
-            q = rem[d] / lead
-            k = d - d_div
-            quo[k] = quo.get(k, Fraction(0)) + q
-            for dd, cc in other._coeffs.items():
-                nd = dd + k
-                nv = rem.get(nd, Fraction(0)) - q * cc
-                if nv:
-                    rem[nd] = nv
-                else:
-                    rem.pop(nd, None)
-        return Polynomial(quo), Polynomial(rem)
+        divisor = other._num
+        n = len(divisor) - 1
+        lead = divisor[-1]
+        k = max(len(self._num) - n, 0)
+        scale = 1 if lead in (1, -1) else lead**k
+        rem = [c * scale for c in self._num]
+        quo = [0] * k
+        for i in reversed(range(k)):
+            q = rem[i + n] // lead
+            quo[i] = q
+            if q:
+                for j, c in enumerate(divisor):
+                    rem[i + j] -= q * c
+        den = self._den * scale
+        return (
+            Polynomial._from_ints(_scaled(quo, other._den), den),
+            Polynomial._from_ints(rem[:n], den),
+        )
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash((tuple(self._num), self._den))
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __repr__(self):
-        inner = ", ".join(f"{d}: {c}" for d, c in sorted(self._coeffs.items()))
+        inner = ", ".join(f"{d}: {c}" for d, c in self.coefficients.items())
         return f"Polynomial({{{inner}}})"
+
+
+def _lift(value) -> Polynomial | None:
+    """A scalar as a constant polynomial; None for an unsupported operand."""
+    if isinstance(value, Polynomial):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Polynomial.constant(value)
+    return None
+
+
+def _normalize(num: list[int], den: int) -> tuple[list[int], int]:
+    """Trim trailing zeros and divide out ``gcd(content, den)``; den > 0 afterwards."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return num, 1
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return num, den
+
+
+def _scaled(num: list[int], factor: int) -> list[int]:
+    """``num`` times an integer; the same list when the factor is 1."""
+    return num if factor == 1 else [c * factor for c in num]
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, start=i):
+                out[j] += x * y
+    return out
+
+
+def _int_pow(num: list[int], n: int) -> list[int]:
+    """``num`` to the power ``n`` by repeated squaring."""
+    result = [1]
+    base = num
+    while n:
+        if n & 1:
+            result = _convolve(result, base)
+        n >>= 1
+        if n:
+            base = _convolve(base, base)
+    return result
 
 
 def powers_telescope(parts: Sequence[Polynomial], exponent: int) -> bool:
     """True iff ``parts[0]^e + ... + parts[-2]^e == parts[-1]^e`` exactly.
 
-    The difference is expanded in full and must cancel to zero; no use
-    is made of how the parts were produced.
+    The parts are lifted to one common denominator ``D`` and the
+    difference ``sum (D p_i)^e - (D p_last)^e`` is expanded in full in
+    integers; it must cancel to zero.  No use is made of how the parts
+    were produced.
     """
-    *lhs, rhs = parts
-    total = -(rhs**exponent)
-    for part in lhs:
-        total = total + part**exponent
-    return total.is_zero
+    common = math.lcm(*(p._den for p in parts))
+    powers = [_int_pow(_scaled(p._num, common // p._den), exponent) for p in parts]
+    *lhs, rhs = powers
+    total = [0] * max(map(len, powers))
+    for power in lhs:
+        for d, c in enumerate(power):
+            total[d] += c
+    for d, c in enumerate(rhs):
+        total[d] -= c
+    return not any(total)

@@ -190,7 +190,7 @@ def factor_common_root(pi: PolyIdentity) -> tuple[PolyIdentity, Polynomial]:
         return pi, Polynomial.constant(1)
     shift = min(int(p.lowest_degree) for p in polys)
     if shift:
-        polys = [Polynomial({d - shift: c for d, c in p.coefficients.items()}) for p in polys]
+        polys = [divmod(p, Polynomial.monomial(shift))[0] for p in polys]
     t = 0
     while True:
         division = [divmod(p, _U_PLUS_1) for p in polys]

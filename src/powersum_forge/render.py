@@ -90,8 +90,27 @@ def form_to_json(form: BinaryQuadraticForm) -> dict:
     return {"alpha": str(form.alpha), "beta": str(form.beta), "gamma": str(form.gamma)}
 
 
-def form_from_json(obj: dict) -> BinaryQuadraticForm:
-    return BinaryQuadraticForm(int(obj["alpha"]), int(obj["beta"]), int(obj["gamma"]))
+def form_from_json(obj: dict, field: str = "form") -> BinaryQuadraticForm:
+    """A form from its JSON object; a missing or non-integer entry raises
+    ValueError naming ``field`` and the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{field} must be an object with alpha, beta and gamma")
+    values = []
+    for key in ("alpha", "beta", "gamma"):
+        if key not in obj:
+            raise ValueError(f"{field} has no {key!r} field")
+        values.append(_json_int(obj[key], f"{field}.{key}"))
+    return BinaryQuadraticForm(*values)
+
+
+def _json_int(value, field: str) -> int:
+    """An integer given as a JSON number or a decimal string."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def form_quadruple_to_json(
@@ -108,8 +127,19 @@ def form_quadruple_to_json(
 
 
 def form_quadruple_from_json(obj: dict) -> FormQuadruple | SquareFormQuadruple:
-    forms = [form_from_json(f) for f in obj["q"]]
+    """A form quadruple from its JSON object; malformed input raises
+    ValueError naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError("a form quadruple must be a JSON object")
+    raw_forms = obj.get("q")
+    if not isinstance(raw_forms, list) or len(raw_forms) != 4:
+        raise ValueError("field 'q' must be a list of 4 forms")
+    forms = [form_from_json(f, f"q[{i}]") for i, f in enumerate(raw_forms)]
     seed_values = obj.get("seed")
+    if seed_values:
+        if not isinstance(seed_values, list) or len(seed_values) != 4:
+            raise ValueError("field 'seed' must be a list of 4 integers")
+        seed_values = [_json_int(x, f"seed[{i}]") for i, x in enumerate(seed_values)]
     if obj.get("identity", "cubic") == "square":
         seed = PythagoreanQuadruple(*seed_values) if seed_values else None
         return SquareFormQuadruple(*forms, seed=seed)

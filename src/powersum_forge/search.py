@@ -15,7 +15,8 @@ and changes nothing, so every run emits byte-identical records.
 
 Relation modes (``Q:k,m`` / ``F:k``) evaluate the expanded univariate
 identity at each integer ``u`` in ``u_range``; the record stores
-``uv = [u, 0]`` for those, and ``v_range`` is ignored.
+``uv = [u, 0]`` for those, and ``v_range`` is ignored.  A value that is
+not a whole number raises RuntimeError instead of being truncated.
 """
 
 from __future__ import annotations
@@ -199,6 +200,10 @@ class SearchConfig:
         for mode in self.modes:
             if mode != "cubic" and not isinstance(mode, (QMode, FMode)):
                 raise ValueError(f"unsupported search mode {mode!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(
+                f"search config field 'output' must be a string or null, got {self.output!r}"
+            )
 
     @property
     def lattice_points(self) -> int:
@@ -336,7 +341,13 @@ def _evaluate_family(
     else:
         identity = expand_relation(build_relation(family, mode))
         for u in range(u_lo, u_hi + 1):
-            yield (u, 0), tuple(int(x) for x in identity.evaluate(u))
+            values = identity.evaluate(u)
+            if any(x.denominator != 1 for x in values):
+                raise RuntimeError(
+                    f"seed {seed.as_tuple} mode {mode.label}: identity value "
+                    f"{tuple(map(str, values))} at u={u} is not whole"
+                )
+            yield (u, 0), tuple(x.numerator for x in values)
 
 
 def write_records(records: Iterable[SolutionRecord], destination: str | Path | IO[str]) -> int:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersum_forge.cli import main
 
@@ -287,3 +291,121 @@ def test_verify_jsonl_reports_bad_lines(capsys, tmp_path):
     report = json.loads(out)
     assert report["records"] == 3
     assert [f.split(":")[0] for f in report["failures"]] == ["line 1", "line 3"]
+
+
+FORM = {"alpha": "1", "beta": "0", "gamma": "2"}
+
+
+@pytest.mark.parametrize(
+    "obj,field",
+    [
+        ({"q": []}, "'q'"),
+        ({"q": [{"alpha": "1"}]}, "'q'"),
+        ({"q": [{"alpha": "1", "gamma": "2"}] * 4}, "q[0] has no 'beta'"),
+        ({"q": [{"alpha": "1", "beta": "x", "gamma": "2"}] * 4}, "q[0].beta"),
+        ({"q": [1, 2, 3, 4]}, "q[0]"),
+        ({"q": [FORM] * 4, "seed": "1689"}, "'seed'"),
+        ({"q": [FORM] * 4, "seed": [1, 6, "x", 9]}, "seed[2]"),
+    ],
+)
+def test_verify_malformed_form_file_is_usage_error(capsys, tmp_path, obj, field):
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("output", [5, ["out.jsonl"], True])
+def test_search_non_string_output_is_usage_error(capsys, tmp_path, output):
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [1, 1], "v_range": [2, 2], "output": output}
+    code, _, err = run(capsys, "search", "--config", write_config(tmp_path, cfg))
+    assert code == 2
+    assert err.startswith("error:") and "'output'" in err
+
+
+# --- fuzzing: malformed inputs never escape as exceptions -----------------------
+
+# Small numbers only: a well-formed config must stay a tiny search.
+fuzz_scalar = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-4, 4),
+    st.floats(-4, 4, allow_nan=False),
+    st.text(alphabet="abx:,-1", max_size=4),
+)
+fuzz_value = st.one_of(fuzz_scalar, st.lists(fuzz_scalar, max_size=3))
+fuzz_form = st.one_of(
+    fuzz_value,
+    st.fixed_dictionaries({"alpha": fuzz_value, "beta": fuzz_value, "gamma": fuzz_value}),
+    st.dictionaries(st.sampled_from(["alpha", "beta", "gamma", "delta"]), fuzz_value, max_size=4),
+)
+fuzz_form_file = st.fixed_dictionaries(
+    {"q": st.one_of(fuzz_value, st.lists(fuzz_form, max_size=6))},
+    optional={
+        "seed": st.one_of(
+            fuzz_value, st.sampled_from([[1, 6, 8, 9], [2, 3, 6, 7], ["1", "6", "8", "9"]])
+        ),
+        "identity": st.sampled_from(["cubic", "square", 3, None]),
+    },
+)
+fuzz_range = st.one_of(fuzz_value, st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+fuzz_seeds = st.one_of(
+    fuzz_value,
+    st.lists(st.one_of(fuzz_value, st.sampled_from([[1, 6, 8, 9], [3, 4, 5, 6]])), max_size=3),
+)
+fuzz_modes = st.one_of(
+    fuzz_value,
+    st.lists(
+        st.sampled_from(["cubic", "Q:1,2", "F:2", "Q:0,1", "F:x", "Z:1", 3, None, []]), max_size=3
+    ),
+)
+fuzz_fields = {
+    "seeds": fuzz_seeds,
+    "u_range": fuzz_range,
+    "v_range": fuzz_range,
+    "modes": fuzz_modes,
+    "dedupe": fuzz_scalar,
+    # a string output is always redirected into the test's own directory
+    "output": st.one_of(fuzz_value, st.sampled_from(["OUT", "MISSING"])),
+}
+VALID_CONFIG = {
+    "seeds": [[1, 6, 8, 9]],
+    "u_range": [-2, 2],
+    "v_range": [-2, 2],
+    "modes": ["cubic", "F:2"],
+}
+fuzz_config = st.one_of(
+    fuzz_value,
+    # a valid config with one field replaced
+    st.sampled_from(sorted(fuzz_fields)).flatmap(
+        lambda name: fuzz_fields[name].map(lambda value: {**VALID_CONFIG, name: value})
+    ),
+    # any subset of the fields
+    st.fixed_dictionaries({}, optional=fuzz_fields),
+)
+
+
+def run_quietly(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=fuzz_form_file)
+def test_fuzz_verify_form_files(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "forms.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_quietly("verify", str(path)) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=fuzz_config)
+def test_fuzz_search_configs(tmp_path_factory, cfg):
+    directory = tmp_path_factory.mktemp("fuzz")
+    if isinstance(cfg, dict) and isinstance(cfg.get("output"), str):
+        name = "missing/out.jsonl" if cfg["output"] == "MISSING" else "out.jsonl"
+        cfg["output"] = str(directory / name)
+    path = directory / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run_quietly("search", "--config", str(path)) in (0, 1, 2)

@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powersum_forge.cli import main
 from powersum_forge.cubic import (
     BinaryQuadraticForm,
     CubicQuadruple,
@@ -138,10 +140,6 @@ def _forms_telescope(forms, exponent) -> bool:
     )
 
 
-def _poly_value(p: Polynomial, x: int) -> Fraction:
-    return sum((c * x**d for d, c in p.coefficients.items()), Fraction(0))
-
-
 CUBIC_SEEDS = [(1, 6, 8, 9), (3, 4, 5, 6), (1, 8, 6, 9), (9, -8, -6, 1), (6, 8, 1, 9)]
 PYTHAGOREAN_SEEDS = [(2, 3, 6, 7), (1, 2, 2, 3), (8, 9, 12, 17), (2, 6, 9, 11)]
 small = st.integers(-3, 3)
@@ -203,7 +201,158 @@ def test_relation_polynomials_match_integer_check(seed, mode, which, degree, del
     polys[which] = polys[which] + Polynomial.monomial(degree, delta)
     top = 3 * max(int(p.degree) for p in polys if not p.is_zero)
     expected = _telescopes_at_points(
-        lambda x: [_poly_value(p, x) for p in polys], 3, range(top + 1)
+        lambda x: [ref_evaluate(p.coefficients, x) for p in polys], 3, range(top + 1)
     )
     assert powers_telescope(polys, 3) == expected
     assert expected == (delta == 0)
+
+
+# --- differential checks against a plain Fraction-dict reference ---------------
+#
+# The reference keeps {degree: Fraction} with no zero entries and does the
+# schoolbook algebra directly; Polynomial must agree with it through its
+# public, rational view.
+
+
+def ref(p: dict) -> dict:
+    return {d: Fraction(c) for d, c in p.items() if c}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for d, c in b.items():
+        out[d] = out.get(d, 0) + c
+    return ref(out)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
+    return ref(out)
+
+
+def ref_pow(a: dict, n: int) -> dict:
+    out = {0: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_evaluate(a: dict, x) -> Fraction:
+    return sum((c * Fraction(x) ** d for d, c in a.items()), Fraction(0))
+
+
+def ref_divmod(a: dict, b: dict) -> tuple[dict, dict]:
+    top = max(b)
+    quo: dict = {}
+    rem = dict(a)
+    while rem and max(rem) >= top:
+        d = max(rem)
+        q = rem[d] / b[top]
+        quo[d - top] = q
+        rem = ref_add(rem, {e + d - top: -q * c for e, c in b.items()})
+    return ref(quo), rem
+
+
+int_coeffs = st.dictionaries(st.integers(0, 8), st.integers(-20, 20), max_size=6)
+poly_coeffs = st.one_of(coeffs, int_coeffs)
+points = st.one_of(st.integers(-12, 12), st.fractions(max_denominator=9))
+
+
+def divisor(lead):
+    """Coefficients below degree ``top`` from ``poly_coeffs``, then ``lead`` at ``top``."""
+    return st.builds(
+        lambda low, top, c: {**{d: v for d, v in low.items() if d < top}, top: c},
+        poly_coeffs,
+        st.integers(0, 4),
+        lead,
+    )
+
+
+monic_divisors = divisor(st.just(1))
+negated_monic_divisors = divisor(st.just(-1))
+other_divisors = divisor(st.fractions(max_denominator=12).filter(lambda c: c not in (0, 1, -1)))
+
+
+@given(poly_coeffs, poly_coeffs)
+def test_ring_operations_match_reference(ca, cb):
+    a, b = Polynomial(ca), Polynomial(cb)
+    ra, rb = ref(ca), ref(cb)
+    assert a.coefficients == ra
+    assert (a + b).coefficients == ref_add(ra, rb)
+    assert (a - b).coefficients == ref_add(ra, {d: -c for d, c in rb.items()})
+    assert (a * b).coefficients == ref_mul(ra, rb)
+
+
+@given(poly_coeffs, st.integers(0, 4), st.fractions(max_denominator=20))
+def test_power_and_scalar_product_match_reference(ca, n, s):
+    a, ra = Polynomial(ca), ref(ca)
+    assert (a**n).coefficients == ref_pow(ra, n)
+    assert (a * s).coefficients == ref_mul(ra, ref({0: s}))
+    assert (s + a).coefficients == ref_add(ra, ref({0: s}))
+
+
+@given(poly_coeffs, points)
+def test_evaluate_matches_reference(ca, x):
+    value = Polynomial(ca).evaluate(x)
+    assert type(value) is Fraction
+    assert value == ref_evaluate(ref(ca), x)
+
+
+@given(poly_coeffs, st.one_of(monic_divisors, negated_monic_divisors, other_divisors))
+def test_divmod_matches_reference(ca, cb):
+    q, r = divmod(Polynomial(ca), Polynomial(cb))
+    ref_q, ref_r = ref_divmod(ref(ca), ref(cb))
+    assert q.coefficients == ref_q and q == Polynomial(ref_q)
+    assert r.coefficients == ref_r and r == Polynomial(ref_r)
+
+
+def test_divmod_by_u_plus_1_and_its_negation():
+    p = Polynomial({0: 2, 1: 5, 2: 4, 3: 1})  # (u+1)^2 (u+2)
+    assert divmod(p, Polynomial({0: 1, 1: 1})) == (Polynomial({0: 2, 1: 3, 2: 1}), 0)
+    assert divmod(p, Polynomial({0: -1, 1: -1})) == (Polynomial({0: -2, 1: -3, 2: -1}), 0)
+    q, r = divmod(Polynomial({0: Fraction(1, 3), 2: 1}), Polynomial({0: 1, 1: 1}))
+    assert q == Polynomial({0: -1, 1: 1}) and r == Fraction(4, 3)
+
+
+def test_normal_form_gives_equal_values_and_hashes():
+    a, b = Polynomial({1: Fraction(2, 4)}), Polynomial({1: Fraction(1, 2)})
+    assert a == b and hash(a) == hash(b)
+    c = Polynomial({2: Fraction(6, 4), 0: 3}) * Fraction(2, 3)
+    d = Polynomial({2: 1, 0: 2})
+    assert c == d and hash(c) == hash(d)
+    assert c.coefficients == {0: 2, 2: 1}
+    assert type(c.coefficient(2)) is Fraction
+
+
+@given(poly_coeffs)
+def test_cancellation_gives_the_zero_polynomial(ca):
+    a = Polynomial(ca)
+    zero = a - a
+    assert zero == Polynomial.zero() and hash(zero) == hash(Polynomial.zero())
+    assert zero.is_zero and not zero
+    assert zero.degree == NEG_INFINITY and zero.lowest_degree == NEG_INFINITY
+    assert zero.coefficients == {}
+    assert zero.evaluate(Fraction(7, 3)) == 0
+
+
+# --- byte identity of the relation pipeline ------------------------------------
+
+# sha256 prefixes of `relation --seed 1,6,8,9 --mode M --expand --factor [--latex]`,
+# taken from the Fraction-coefficient implementation this one replaced.
+RELATION_OUTPUT_SHA256 = {
+    ("Q:15,20", False): "1454fd4715e7047b",
+    ("Q:15,20", True): "e51ab73ae9406394",
+    ("F:10", False): "e4c3c0acc47ca305",
+    ("F:10", True): "3e79ec243529157a",
+}
+
+
+@pytest.mark.parametrize("mode,latex", sorted(RELATION_OUTPUT_SHA256))
+def test_relation_expand_factor_output_is_byte_identical(capsys, mode, latex):
+    argv = ["relation", "--seed", "1,6,8,9", "--mode", mode, "--expand", "--factor"]
+    assert main(argv + ["--latex"] * latex) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == RELATION_OUTPUT_SHA256[mode, latex]

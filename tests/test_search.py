@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from powersum_forge import search
 from powersum_forge.cubic import CubicQuadruple
-from powersum_forge.relations import FMode, QMode
+from powersum_forge.polynomials import Polynomial
+from powersum_forge.relations import FMode, PolyIdentity, QMode
 from powersum_forge.search import (
     GRID_GUARDRAIL,
     SearchConfig,
@@ -258,6 +259,19 @@ def test_f_mode_search():
     for r in records:
         x1, x2, x3, x4 = r.raw
         assert x1**3 + x2**3 + x3**3 == x4**3
+
+
+def test_relation_mode_rejects_values_that_are_not_whole(monkeypatch):
+    half = Polynomial({0: Fraction(3, 2), 1: 1})
+    one = Polynomial.constant(1)
+    identity = PolyIdentity((half, one, one, one), Fraction(1))
+    monkeypatch.setattr(search, "expand_relation", lambda cq: identity)
+    cfg = config([(1, 6, 8, 9)], u=(1, 3), v=(0, 0), modes=(QMode(1, 2),))
+    records = []
+    with pytest.raises(RuntimeError, match=r"seed \(1, 6, 8, 9\) mode Q:1,2.* u=1 "):
+        for record in run_search(cfg):
+            records.append(record)
+    assert records == []  # int(3/2 + 1) would have yielded a truncated record
 
 
 def test_parallel_and_serial_runs_are_byte_identical(tmp_path):
