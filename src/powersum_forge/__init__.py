@@ -9,8 +9,8 @@ for the quadratic equations ``a^2 + b^2 + c^2 = d^2`` and
 solutions such as taxicab numbers.  All arithmetic is exact.
 """
 
-from .exactcore import bernoulli, rational_content
-from .polynomials import Polynomial, powers_telescope
+from .exactcore import bernoulli
+from .polynomials import ExactCombination, Polynomial, joint_content, powers_telescope
 from .powersums import (
     CONSTANT_EXP,
     PowerSumCombo,
@@ -75,8 +75,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "bernoulli",
-    "rational_content",
+    "ExactCombination",
     "Polynomial",
+    "joint_content",
     "powers_telescope",
     "CONSTANT_EXP",
     "PowerSumCombo",

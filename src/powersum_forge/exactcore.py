@@ -10,6 +10,10 @@ convention (``B(1) = +1/2``) differs in exactly that single value, but
 it would silently corrupt every power-sum polynomial produced here, so
 anything imported from other sources must be checked against
 ``bernoulli(1)`` first.
+
+Integers read from JSON (configs, records, form files) go through
+:func:`json_int` or :func:`json_ints`, which refuse what they would
+otherwise have to truncate.
 """
 
 from __future__ import annotations
@@ -17,9 +21,8 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterable
 
-__all__ = ["bernoulli", "rational_content"]
+__all__ = ["bernoulli", "json_int", "json_ints"]
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
@@ -53,20 +56,35 @@ def bernoulli(k: int) -> Fraction:
     return _BERNOULLI[k]
 
 
-def rational_content(values: Iterable[Fraction | int]) -> Fraction:
-    """Content of a collection of rationals.
+#: The JSON types an integer may arrive as; ``bool`` and ``float`` are not among them.
+_JSON_INT_TYPES = frozenset((int, str))
 
-    The content is the largest positive rational ``q`` such that every
-    value is an integer multiple of ``q``; dividing the values by it
-    leaves coprime integers.  Returns 0 when there are no nonzero
-    values.
+
+def json_int(value, field: str) -> int:
+    """An integer given as a JSON number or a decimal string.
+
+    Floats and booleans are refused, never truncated; a bad value raises
+    ValueError naming ``field``.
     """
-    num = 0
-    den = 1
-    for value in values:
-        f = Fraction(value)
-        if not f:
-            continue
-        num = math.gcd(num, f.numerator)
-        den = math.lcm(den, f.denominator)
-    return Fraction(num, den)
+    if type(value) in _JSON_INT_TYPES:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def json_ints(values, field: str, length: int) -> tuple[int, ...]:
+    """A JSON list of exactly ``length`` integers, each read as by :func:`json_int`.
+
+    A bad entry raises ValueError naming ``field[i]``.  Well-formed
+    lists are checked and converted without a Python call per entry.
+    """
+    if not isinstance(values, (list, tuple)) or len(values) != length:
+        raise ValueError(f"field {field!r} must be a list of {length} integers, got {values!r}")
+    if _JSON_INT_TYPES.issuperset(map(type, values)):
+        try:
+            return tuple(map(int, values))
+        except ValueError:
+            pass
+    return tuple(json_int(x, f"{field}[{i}]") for i, x in enumerate(values))

@@ -1,19 +1,23 @@
-"""Exact univariate polynomials over the rationals, and the one identity prover.
+"""Exact linear combinations, univariate polynomials, and the one identity prover.
 
-A :class:`Polynomial` is stored as one dense list of integer numerators
-(index = degree) over one positive integer denominator.  It is kept in
-normal form: trailing zero numerators are trimmed, and the numerators'
-content shares no factor with the denominator, so equal polynomials have
-equal representations (the zero polynomial is ``[]`` over 1).  The
-public view is still rational: ``coefficients`` and ``coefficient()``
-return ``Fraction``s, and ``evaluate`` returns a ``Fraction``.
+An :class:`ExactCombination` is a finite sum ``sum_k c_k * b_k`` over a
+basis indexed by integer keys, stored as one dense list of integer
+numerators over one positive integer denominator; key ``k`` sits at
+index ``k + KEY_OFFSET``, so index 0 is always the scalar slot.  It is
+kept in normal form (trailing zeros trimmed, the numerators' content
+coprime to the denominator, zero is ``[]`` over 1), so equal
+combinations have equal representations.  ``coefficients`` and
+``coefficient()`` return ``Fraction``s.  The base class carries the
+linear algebra, and :func:`joint_content` reads the integer form.
+Two bases use it, and never mix: :class:`Polynomial` (key = degree) and
+``powersums.PowerSumCombo`` (key = exponent, constant in slot -1).
 
-Keeping one denominator turns the algebra into integer arithmetic:
-products and powers are integer convolutions, evaluation at an integer
-is Horner's rule on integers with one division at the end, and division
-by a polynomial with leading coefficient +-1 is synthetic division.
-``Polynomial`` is a small expansion engine used to verify identities by
-brute-force cancellation, not a general symbolic layer.
+``Polynomial`` adds the ring operations, all on integers: products and
+powers are integer convolutions, evaluation at an integer is Horner's
+rule with one division at the end, and division by a polynomial with
+leading coefficient +-1 is synthetic division.  It is a small expansion
+engine used to verify identities by brute-force cancellation, not a
+general symbolic layer.
 
 Every identity the library proves has one shape, a sum of e-th powers
 that telescopes to a single e-th power, and :func:`powers_telescope`
@@ -32,59 +36,161 @@ Scalar = Union[int, Fraction]
 NEG_INFINITY = float("-inf")
 
 
-class Polynomial:
-    """Univariate polynomial over the rationals: integer numerators over one denominator."""
+class ExactCombination:
+    """Rational combination over an integer-keyed basis: integer numerators over one denominator."""
 
     __slots__ = ("_num", "_den")
 
+    #: Index of key 0 in the numerator list; keys below ``-KEY_OFFSET`` are invalid.
+    KEY_OFFSET = 0
+    #: What a key is called in error messages.
+    KEY_NAME = "key"
+
     def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
+        offset = self.KEY_OFFSET
         acc: dict[int, Fraction] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for deg, raw in items:
-            d = int(deg)
-            if d != deg or d < 0:
-                raise ValueError(f"invalid degree {deg!r}")
-            acc[d] = acc.get(d, Fraction(0)) + Fraction(raw)
+        for key, raw in items:
+            k = int(key)
+            if k != key or k < -offset:
+                raise ValueError(f"invalid {self.KEY_NAME} {key!r}")
+            acc[k + offset] = acc.get(k + offset, Fraction(0)) + Fraction(raw)
         den = math.lcm(*(c.denominator for c in acc.values()))
         num = [0] * (max(acc) + 1 if acc else 0)
-        for d, c in acc.items():
-            num[d] = c.numerator * (den // c.denominator)
+        for i, c in acc.items():
+            num[i] = c.numerator * (den // c.denominator)
         self._num, self._den = _normalize(num, den)
 
     @classmethod
-    def _make(cls, num: list[int], den: int) -> "Polynomial":
+    def _make(cls, num: list[int], den: int):
         """Wrap numerators and a positive denominator already in normal form."""
-        poly = cls.__new__(cls)
-        poly._num = num
-        poly._den = den
-        return poly
+        obj = cls.__new__(cls)
+        obj._num = num
+        obj._den = den
+        return obj
 
     @classmethod
-    def _from_ints(cls, num: list[int], den: int = 1) -> "Polynomial":
+    def _from_ints(cls, num: list[int], den: int = 1):
         """Normalize any integer numerators over a nonzero denominator."""
         return cls._make(*_normalize(num, den))
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls._make([], 1)
-
-    @classmethod
-    def constant(cls, value: Scalar) -> "Polynomial":
+    def _scalar(cls, value: Scalar):
+        """``value`` in the scalar slot (index 0)."""
         value = Fraction(value)
         return cls._from_ints([value.numerator], value.denominator)
 
     @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
-        return cls({degree: coeff})
+    def zero(cls):
+        return cls._make([], 1)
 
     @property
     def coefficients(self) -> dict[int, Fraction]:
+        """Nonzero coefficients by key, in ascending key order."""
         den = self._den
-        return {d: Fraction(c, den) for d, c in enumerate(self._num) if c}
+        return {i: Fraction(c, den) for i, c in enumerate(self._num, -self.KEY_OFFSET) if c}
 
     @property
     def is_zero(self) -> bool:
         return not self._num
+
+    def coefficient(self, key: int) -> Fraction:
+        i = key + self.KEY_OFFSET
+        if 0 <= i < len(self._num):
+            return Fraction(self._num[i], self._den)
+        return Fraction(0)
+
+    def _lift(self, value):
+        """``value`` as a combination of this type; None for an unsupported operand."""
+        if isinstance(value, type(self)):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self._scalar(value)
+        return None
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        den = math.lcm(self._den, other._den)
+        a, fa = self._num, den // self._den
+        b, fb = other._num, den // other._den
+        if len(a) < len(b):
+            a, fa, b, fb = b, fb, a, fa
+        out = [c * fa for c in a]
+        for i, c in enumerate(b):
+            out[i] += c * fb
+        return self._from_ints(out, den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make([-c for c in self._num], self._den)
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        scalar = Fraction(scalar)
+        return self._from_ints(
+            [c * scalar.numerator for c in self._num], self._den * scalar.denominator
+        )
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self._num == other._num and self._den == other._den
+
+    def __hash__(self):
+        return hash((tuple(self._num), self._den))
+
+    def __bool__(self):
+        return bool(self._num)
+
+    def __repr__(self):
+        inner = ", ".join(f"{k}: {c}" for k, c in self.coefficients.items())
+        return f"{type(self).__name__}({{{inner}}})"
+
+
+def joint_content(items: Iterable[ExactCombination]) -> Fraction:
+    """Largest positive rational dividing every coefficient of every item; 0 if all are zero.
+
+    In normal form an item's content is ``gcd(numerators) / denominator``
+    in lowest terms, so the joint content is the gcd of all numerators
+    over the lcm of all denominators.
+    """
+    num, den = 0, 1
+    for item in items:
+        num = math.gcd(num, *item._num)
+        den = math.lcm(den, item._den)
+    return Fraction(num, den)
+
+
+class Polynomial(ExactCombination):
+    """Univariate polynomial over the rationals: key = degree."""
+
+    __slots__ = ()
+
+    KEY_NAME = "degree"
+
+    @classmethod
+    def constant(cls, value: Scalar) -> "Polynomial":
+        return cls._scalar(value)
+
+    @classmethod
+    def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
+        return cls({degree: coeff})
 
     @property
     def degree(self):
@@ -94,11 +200,6 @@ class Polynomial:
     @property
     def lowest_degree(self):
         return next((d for d, c in enumerate(self._num) if c), NEG_INFINITY)
-
-    def coefficient(self, degree: int) -> Fraction:
-        if 0 <= degree < len(self._num):
-            return Fraction(self._num[degree], self._den)
-        return Fraction(0)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Horner's rule on the numerators, divided by the denominator once.
@@ -112,43 +213,10 @@ class Polynomial:
             acc = acc * x + c
         return Fraction(acc, self._den)
 
-    def __add__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        den = math.lcm(self._den, other._den)
-        a, fa = self._num, den // self._den
-        b, fb = other._num, den // other._den
-        if len(a) < len(b):
-            a, fa, b, fb = b, fb, a, fa
-        out = [c * fa for c in a]
-        for d, c in enumerate(b):
-            out[d] += c * fb
-        return Polynomial._from_ints(out, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial._make([-c for c in self._num], self._den)
-
-    def __sub__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return Polynomial._from_ints(
-                [c * other.numerator for c in self._num], self._den * other.denominator
-            )
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return Polynomial._from_ints(_convolve(self._num, other._num), self._den * other._den)
+        if isinstance(other, Polynomial):
+            return Polynomial._from_ints(_convolve(self._num, other._num), self._den * other._den)
+        return super().__mul__(other)
 
     __rmul__ = __mul__
 
@@ -169,7 +237,7 @@ class Polynomial:
         a monic integer divisor like ``u + 1``, no scaling is needed and
         this is plain synthetic division.
         """
-        other = _lift(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
@@ -192,31 +260,6 @@ class Polynomial:
             Polynomial._from_ints(_scaled(quo, other._den), den),
             Polynomial._from_ints(rem[:n], den),
         )
-
-    def __eq__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return self._num == other._num and self._den == other._den
-
-    def __hash__(self):
-        return hash((tuple(self._num), self._den))
-
-    def __bool__(self):
-        return bool(self._num)
-
-    def __repr__(self):
-        inner = ", ".join(f"{d}: {c}" for d, c in self.coefficients.items())
-        return f"Polynomial({{{inner}}})"
-
-
-def _lift(value) -> Polynomial | None:
-    """A scalar as a constant polynomial; None for an unsupported operand."""
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    return None
 
 
 def _normalize(num: list[int], den: int) -> tuple[list[int], int]:

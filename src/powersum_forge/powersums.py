@@ -6,7 +6,9 @@ degree ``j + 1`` and no constant term.  A :class:`PowerSumCombo` is a
 finite sum ``sum_j c_j * S_j`` with exact rational coefficients, plus an
 optional additive constant kept in a reserved slot (exponent -1) so
 affine expressions like ``1 + S_k`` stay representable without abusing
-``S_0``.
+``S_0``.  It shares the integer representation and the linear algebra
+of ``polynomials.ExactCombination`` with ``Polynomial``; only the basis
+differs.
 
 The closed forms ``product``, ``square``, ``s1_power`` and
 ``s2_s1_power`` rewrite products and powers of power sums as linear
@@ -22,12 +24,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Sequence
 
-from .exactcore import bernoulli, rational_content
-from .polynomials import Polynomial
-
-Scalar = Union[int, Fraction]
+from .exactcore import bernoulli
+from .polynomials import ExactCombination, Polynomial, Scalar, joint_content
 
 #: Reserved exponent slot for an additive constant term.
 CONSTANT_EXP = -1
@@ -45,122 +45,56 @@ __all__ = [
 ]
 
 
-class PowerSumCombo:
+class PowerSumCombo(ExactCombination):
     """Finite linear combination of power sums with exact coefficients.
 
-    Instances are immutable value objects: arithmetic returns new
-    combos, equality is structural on the normalized term map, and zero
-    coefficients are never stored.
+    Stored like every :class:`ExactCombination`: one list of integer
+    numerators over one positive denominator, in normal form, with
+    ``KEY_OFFSET = 1``, so the constant slot (exponent -1) sits at index
+    0 and ``S_j`` at index ``j + 1``.  Instances are immutable value
+    objects: arithmetic returns new combos, equal combos have equal
+    representations, and a scalar compares equal to the constant combo.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
-        acc: dict[int, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exp, raw in items:
-            e = int(exp)
-            if e != exp or e < CONSTANT_EXP:
-                raise ValueError(f"invalid power-sum exponent {exp!r}")
-            acc[e] = acc.get(e, Fraction(0)) + Fraction(raw)
-        self._terms = {e: c for e, c in acc.items() if c}
-
-    @classmethod
-    def zero(cls) -> "PowerSumCombo":
-        return cls()
+    KEY_OFFSET = 1
+    KEY_NAME = "power-sum exponent"
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        return self.coefficients
 
     @property
     def exponents(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
+        return tuple(e for e, c in enumerate(self._num, CONSTANT_EXP) if c)
 
     @property
     def constant(self) -> Fraction:
         """Coefficient of the additive constant slot."""
-        return self._terms.get(CONSTANT_EXP, Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
+        return self.coefficient(CONSTANT_EXP)
 
     def evaluate(self, n: Scalar) -> Fraction:
         """Value of the combination at integer (or rational) ``n``."""
         total = Fraction(0)
-        for e, c in self._terms.items():
-            if e == CONSTANT_EXP:
-                total += c
-            else:
-                total += c * faulhaber(e).evaluate(n)
-        return total
+        for e, c in enumerate(self._num, CONSTANT_EXP):
+            if c:
+                total += c if e == CONSTANT_EXP else c * faulhaber(e).evaluate(n)
+        return total / self._den
 
     def to_polynomial(self) -> Polynomial:
         """Expand every power sum into its polynomial in ``n``."""
-        out = Polynomial.zero()
-        for e, c in self._terms.items():
-            if e == CONSTANT_EXP:
-                out = out + Polynomial.constant(c)
-            else:
+        num = self._num
+        out = Polynomial.constant(num[0] if num else 0)
+        for e, c in enumerate(num[1:]):
+            if c:
                 out = out + c * faulhaber(e)
-        return out
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PowerSumCombo({CONSTANT_EXP: other})
-        if not isinstance(other, PowerSumCombo):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return PowerSumCombo(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSumCombo({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PowerSumCombo({CONSTANT_EXP: other})
-        if not isinstance(other, PowerSumCombo):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return PowerSumCombo({e: c * scalar for e, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSumCombo):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __repr__(self):
-        inner = ", ".join(f"{e}: {c}" for e, c in sorted(self._terms.items()))
-        return f"PowerSumCombo({{{inner}}})"
+        return out * Fraction(1, self._den)
 
 
 def S(exponent: int) -> PowerSumCombo:
     """The single power sum ``S_exponent`` as a combination."""
-    if exponent < 0:
-        raise ValueError("power-sum exponent must be nonnegative")
+    _check_exponent(exponent)
     return PowerSumCombo({exponent: 1})
 
 
@@ -172,16 +106,12 @@ def faulhaber(k: int) -> Polynomial:
     ``1/(k+1)``.  Cached; ``Polynomial`` is immutable so the shared
     instances are safe.
     """
-    if k < 0:
-        raise ValueError("power-sum exponent must be nonnegative")
+    _check_exponent(k)
     kk = k + 1
-    coeffs: dict[int, Fraction] = {}
-    for j in range(1, kk + 1):
-        b = bernoulli(kk - j)
-        if b:
-            sign = -1 if (kk - j) % 2 else 1
-            coeffs[j] = Fraction(math.comb(kk, j), kk) * sign * b
-    return Polynomial(coeffs)
+    return Polynomial(
+        (j, Fraction(math.comb(kk, j), kk) * (-1) ** (kk - j) * bernoulli(kk - j))
+        for j in range(1, kk + 1)
+    )
 
 
 def product(k: int, m: int) -> PowerSumCombo:
@@ -192,29 +122,17 @@ def product(k: int, m: int) -> PowerSumCombo:
     """
     _check_exponent(k)
     _check_exponent(m)
-    terms: dict[int, Fraction] = {}
-    for top, j_max in ((k, k // 2), (m, m // 2)):
-        for j in range(j_max + 1):
-            b = bernoulli(2 * j)
-            if not b:
-                continue
-            e = k + m + 1 - 2 * j
-            coeff = Fraction(math.comb(top + 1, 2 * j), top + 1) * b
-            terms[e] = terms.get(e, Fraction(0)) + coeff
-    return PowerSumCombo(terms)
+    # The two sums share exponents; the constructor adds repeated ones.
+    return PowerSumCombo(
+        (k + m + 1 - 2 * j, Fraction(math.comb(top + 1, 2 * j), top + 1) * bernoulli(2 * j))
+        for top in (k, m)
+        for j in range(top // 2 + 1)
+    )
 
 
 def square(k: int) -> PowerSumCombo:
     """``S_k ** 2`` as a combination; only odd power sums appear."""
-    _check_exponent(k)
-    terms: dict[int, Fraction] = {}
-    for j in range(k // 2 + 1):
-        b = bernoulli(2 * j)
-        if not b:
-            continue
-        e = 2 * k + 1 - 2 * j
-        terms[e] = terms.get(e, Fraction(0)) + Fraction(2, k + 1) * math.comb(k + 1, 2 * j) * b
-    return PowerSumCombo(terms)
+    return product(k, k)
 
 
 def s1_power(k: int) -> PowerSumCombo:
@@ -226,11 +144,9 @@ def s1_power(k: int) -> PowerSumCombo:
     if k < 1:
         raise ValueError("power of S_1 requires k >= 1")
     scale = Fraction(1, 2 ** (k - 1))
-    terms: dict[int, Fraction] = {}
-    for j in range((k - 1) // 2 + 1):
-        e = 2 * k - 1 - 2 * j
-        terms[e] = terms.get(e, Fraction(0)) + scale * math.comb(k, 2 * j + 1)
-    return PowerSumCombo(terms)
+    return PowerSumCombo(
+        (2 * k - 1 - 2 * j, scale * math.comb(k, 2 * j + 1)) for j in range((k - 1) // 2 + 1)
+    )
 
 
 def s2_s1_power(k: int) -> PowerSumCombo:
@@ -241,12 +157,13 @@ def s2_s1_power(k: int) -> PowerSumCombo:
     """
     _check_exponent(k)
     scale = Fraction(1, 3 * 2**k)
-    terms: dict[int, Fraction] = {}
-    for j in range((k + 1) // 2 + 1):
-        e = 2 * k + 2 - 2 * j
-        coeff = scale * Fraction(2 * k + 3 - 2 * j, 2 * j + 1) * math.comb(k + 1, 2 * j)
-        terms[e] = terms.get(e, Fraction(0)) + coeff
-    return PowerSumCombo(terms)
+    return PowerSumCombo(
+        (
+            2 * k + 2 - 2 * j,
+            scale * Fraction(2 * k + 3 - 2 * j, 2 * j + 1) * math.comb(k + 1, 2 * j),
+        )
+        for j in range((k + 1) // 2 + 1)
+    )
 
 
 def extract_common_factor(
@@ -258,7 +175,7 @@ def extract_common_factor(
     where the scaled combos have integer coefficients whose joint
     content is 1.  All-zero input returns factor 1.
     """
-    content = rational_content(c for combo in combos for c in combo.terms.values())
+    content = joint_content(combos)
     if not content:
         return tuple(combos), Fraction(1)
     inv = 1 / content

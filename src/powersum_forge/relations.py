@@ -27,8 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 from .cubic import BinaryQuadraticForm, FormQuadruple, verify_cubic_identity
-from .exactcore import rational_content
-from .polynomials import Polynomial, powers_telescope
+from .polynomials import Polynomial, joint_content, powers_telescope
 from .powersums import PowerSumCombo, extract_common_factor, product, s1_power, s2_s1_power, square
 
 __all__ = [
@@ -164,7 +163,7 @@ def expand_relation(cq: ComboQuadruple) -> PolyIdentity:
     RuntimeError rather than producing a broken identity.
     """
     exact = [c.to_polynomial() for c in cq.combos]
-    content = rational_content(v for p in exact for v in p.coefficients.values())
+    content = joint_content(exact)
     scale = 1 / content if content else Fraction(1)
     identity = PolyIdentity(tuple(p * scale for p in exact), scale)
     if not powers_telescope(identity.polys, 3):

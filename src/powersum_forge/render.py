@@ -11,11 +11,13 @@ power-sum polynomial table).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
 from .cubic import BinaryQuadraticForm, CubicQuadruple, FormQuadruple
-from .polynomials import Polynomial
+from .exactcore import json_int, json_ints
+from .polynomials import ExactCombination, Polynomial
 from .powersums import CONSTANT_EXP, PowerSumCombo
 from .quadratic import PythagoreanQuadruple, SquareFormQuadruple
 from .relations import ComboQuadruple, PolyIdentity
@@ -56,34 +58,23 @@ def fraction_from_json(obj: dict) -> Fraction:
     return Fraction(int(obj["num"]), int(obj["den"]))
 
 
-def combo_to_json(combo: PowerSumCombo) -> dict:
+def poly_to_json(combination: ExactCombination) -> dict:
+    """A polynomial or a power-sum combo as ``{"terms": [...]}``, keys ascending."""
     return {
         "terms": [
-            {"exp": e, "num": str(c.numerator), "den": str(c.denominator)}
-            for e, c in sorted(combo.terms.items())
+            {"exp": k, "num": str(c.numerator), "den": str(c.denominator)}
+            for k, c in combination.coefficients.items()
         ]
     }
 
 
-def combo_from_json(obj: dict) -> PowerSumCombo:
-    return PowerSumCombo(
-        {int(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in obj["terms"]}
-    )
+def poly_from_json(obj: dict, kind: type[ExactCombination] = Polynomial) -> ExactCombination:
+    """The inverse of :func:`poly_to_json`, building a ``kind``."""
+    return kind({int(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in obj["terms"]})
 
 
-def poly_to_json(poly: Polynomial) -> dict:
-    return {
-        "terms": [
-            {"exp": d, "num": str(c.numerator), "den": str(c.denominator)}
-            for d, c in sorted(poly.coefficients.items())
-        ]
-    }
-
-
-def poly_from_json(obj: dict) -> Polynomial:
-    return Polynomial(
-        {int(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in obj["terms"]}
-    )
+combo_to_json = poly_to_json
+combo_from_json = functools.partial(poly_from_json, kind=PowerSumCombo)
 
 
 def form_to_json(form: BinaryQuadraticForm) -> dict:
@@ -99,18 +90,8 @@ def form_from_json(obj: dict, field: str = "form") -> BinaryQuadraticForm:
     for key in ("alpha", "beta", "gamma"):
         if key not in obj:
             raise ValueError(f"{field} has no {key!r} field")
-        values.append(_json_int(obj[key], f"{field}.{key}"))
+        values.append(json_int(obj[key], f"{field}.{key}"))
     return BinaryQuadraticForm(*values)
-
-
-def _json_int(value, field: str) -> int:
-    """An integer given as a JSON number or a decimal string."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def form_quadruple_to_json(
@@ -137,9 +118,7 @@ def form_quadruple_from_json(obj: dict) -> FormQuadruple | SquareFormQuadruple:
     forms = [form_from_json(f, f"q[{i}]") for i, f in enumerate(raw_forms)]
     seed_values = obj.get("seed")
     if seed_values:
-        if not isinstance(seed_values, list) or len(seed_values) != 4:
-            raise ValueError("field 'seed' must be a list of 4 integers")
-        seed_values = [_json_int(x, f"seed[{i}]") for i, x in enumerate(seed_values)]
+        seed_values = json_ints(seed_values, "seed", 4)
     if obj.get("identity", "cubic") == "square":
         seed = PythagoreanQuadruple(*seed_values) if seed_values else None
         return SquareFormQuadruple(*forms, seed=seed)
@@ -205,8 +184,8 @@ def _power_symbol(var: str, degree: int) -> str:
 
 
 def poly_to_latex(poly: Polynomial, var: str = "u", order: str = "asc") -> str:
-    degrees = sorted(poly.coefficients, reverse=(order == "desc"))
-    return _join_terms([(poly.coefficient(d), _power_symbol(var, d)) for d in degrees])
+    terms = sorted(poly.coefficients.items(), reverse=(order == "desc"))
+    return _join_terms([(c, _power_symbol(var, d)) for d, c in terms])
 
 
 def _subscript_symbol(exp: int) -> str:
@@ -216,8 +195,8 @@ def _subscript_symbol(exp: int) -> str:
 
 
 def combo_to_latex(combo: PowerSumCombo) -> str:
-    exps = sorted(combo.terms)  # constant slot (-1) sorts first
-    return _join_terms([(combo.coefficient(e), _subscript_symbol(e)) for e in exps])
+    # terms ascend by exponent, so the constant slot (-1) comes first
+    return _join_terms([(c, _subscript_symbol(e)) for e, c in combo.terms.items()])
 
 
 def form_to_latex(form: BinaryQuadraticForm, variables: tuple[str, str] = ("u", "v")) -> str:

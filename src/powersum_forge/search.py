@@ -36,6 +36,7 @@ from .cubic import (
     fraction_ratio,
     sandor_generate,
 )
+from .exactcore import json_int, json_ints
 from .relations import FMode, QMode, RelationMode, build_relation, expand_relation, parse_mode
 
 __all__ = [
@@ -137,15 +138,20 @@ class SolutionRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SolutionRecord":
+        """A record from its JSON object; a field that is not a whole
+        number (or a list of them) raises ValueError naming it."""
         taxicab = obj.get("taxicab")
         return cls(
-            seed=CubicQuadruple(*(int(x) for x in obj["seed"])),
-            uv=(int(obj["uv"][0]), int(obj["uv"][1])),
-            raw=tuple(int(x) for x in obj["raw"]),
-            reduced=tuple(int(x) for x in obj["reduced"]),
-            content=int(obj["content"]),
-            ratio=Fraction(int(obj["ratio"]["num"]), int(obj["ratio"]["den"])),
-            taxicab=int(taxicab) if taxicab is not None else None,
+            seed=CubicQuadruple(*json_ints(obj["seed"], "seed", 4)),
+            uv=json_ints(obj["uv"], "uv", 2),
+            raw=json_ints(obj["raw"], "raw", 4),
+            reduced=json_ints(obj["reduced"], "reduced", 4),
+            content=json_int(obj["content"], "content"),
+            ratio=Fraction(
+                json_int(obj["ratio"]["num"], "ratio.num"),
+                json_int(obj["ratio"]["den"], "ratio.den"),
+            ),
+            taxicab=json_int(taxicab, "taxicab") if taxicab is not None else None,
         )
 
 
@@ -218,15 +224,13 @@ class SearchConfig:
         if not isinstance(obj, dict):
             raise ValueError("search config must be a JSON object")
         return cls(
-            seeds=_config_field(
-                obj, "seeds", lambda raw: tuple(CubicQuadruple(*map(int, s)) for s in raw)
-            ),
-            u_range=_config_field(obj, "u_range", _int_pair),
-            v_range=_config_field(obj, "v_range", _int_pair),
+            seeds=_config_field(obj, "seeds", _parse_seeds),
+            u_range=_config_field(obj, "u_range", lambda raw: json_ints(raw, "u_range", 2)),
+            v_range=_config_field(obj, "v_range", lambda raw: json_ints(raw, "v_range", 2)),
             modes=_config_field(obj, "modes", _parse_modes) if "modes" in obj else ("cubic",),
-            dedupe=bool(obj.get("dedupe", True)),
+            dedupe=_config_bool(obj, "dedupe", True),
             output=obj.get("output"),
-            force=bool(obj.get("force", False)),
+            force=_config_bool(obj, "force", False),
         )
 
     @classmethod
@@ -248,8 +252,15 @@ def _config_field(obj: dict, name: str, parse):
         raise ValueError(f"search config field {name!r} is malformed: {exc!r}") from None
 
 
-def _int_pair(raw) -> tuple[int, int]:
-    return (int(raw[0]), int(raw[1]))
+def _config_bool(obj: dict, name: str, default: bool) -> bool:
+    value = obj.get(name, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"search config field {name!r} must be true or false, got {value!r}")
+    return value
+
+
+def _parse_seeds(raw) -> tuple[CubicQuadruple, ...]:
+    return tuple(CubicQuadruple(*json_ints(s, f"seeds[{i}]", 4)) for i, s in enumerate(raw))
 
 
 def _parse_modes(raw) -> tuple[SearchMode, ...]:

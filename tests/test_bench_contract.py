@@ -7,6 +7,7 @@ call the benchmark makes is run here once, through the tracer, on tiny
 inputs.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -66,10 +67,30 @@ def test_traced_search_and_verify(tmp_path):
     assert report["verified"] is True and report["records"] == summary["records"]
 
 
+def read_spans(path):
+    """``bench/tracer.py``'s own reader, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.read_spans(path)
+
+
 def test_traced_relation_expand_factor(tmp_path):
     args = ["relation", "--seed", "1,6,8,9", "--mode", "Q:3,5", "--expand", "--factor"]
     out = json.loads(traced(tmp_path, "relation", *args))
     assert "factored" in out
+    # A refactor that calls round the traced bindings keeps the names but
+    # records no spans, which would zero the benchmark's per-layer times.
+    _, spans = read_spans(tmp_path / "relation.spans")
+    recorded = {name for name, *_ in spans}
+    for name in (
+        "powersums.square",
+        "powersums.product",
+        "relations.build_relation",
+        "relations.expand_relation",
+        "relations.factor_common_root",
+    ):
+        assert name in recorded, name
 
 
 @pytest.mark.parametrize("requested", ["1", "4"])

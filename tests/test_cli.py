@@ -241,6 +241,13 @@ def write_config(tmp_path, obj):
         ({"seeds": [[1, 6, 8, 9]], "u_range": [1], "v_range": [0, 1]}, "u_range"),
         ({"seeds": 1689, "u_range": [0, 1], "v_range": [0, 1]}, "seeds"),
         ([], "JSON object"),
+        ({"seeds": [[1, 6, 8, 9.9]], "u_range": [0, 1], "v_range": [0, 1]}, "seeds[0][3]"),
+        ({"seeds": [[1, 6, 8, 9]], "u_range": [0.5, 2.7], "v_range": [0, 1]}, "u_range[0]"),
+        (
+            {"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": [0, 1], "dedupe": "false"},
+            "dedupe",
+        ),
+        ({"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": [0, 1], "force": "yes"}, "force"),
     ],
 )
 def test_search_malformed_config_is_usage_error(capsys, tmp_path, obj, field):
@@ -284,13 +291,15 @@ def test_verify_compact_one_line_form_file(capsys, tmp_path):
 def test_verify_jsonl_reports_bad_lines(capsys, tmp_path):
     cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [1, 1], "v_range": [2, 2]}
     _, good, _ = run(capsys, "search", "--config", write_config(tmp_path, cfg))
+    bad_uv = json.dumps({**json.loads(good), "uv": [1.5, 2]})
     path = tmp_path / "mixed.jsonl"
-    path.write_text(f"not json\n{good}\n[1]\n", encoding="utf-8")
+    path.write_text(f"not json\n{good}\n[1]\n{bad_uv}\n", encoding="utf-8")
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and "Traceback" not in err
     report = json.loads(out)
-    assert report["records"] == 3
-    assert [f.split(":")[0] for f in report["failures"]] == ["line 1", "line 3"]
+    assert report["records"] == 4
+    assert [f.split(":")[0] for f in report["failures"]] == ["line 1", "line 3", "line 4"]
+    assert "uv[0]" in report["failures"][2]
 
 
 FORM = {"alpha": "1", "beta": "0", "gamma": "2"}

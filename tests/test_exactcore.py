@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powersum_forge.exactcore import bernoulli, rational_content
+from powersum_forge.exactcore import bernoulli
 
 
 @pytest.mark.parametrize(
@@ -113,14 +113,6 @@ def test_rational_always_reduced(a, b):
     q = Fraction(a, b)
     assert q.denominator > 0
     assert gcd(abs(q.numerator), q.denominator) in (0, 1)
-
-
-def test_rational_content_examples():
-    assert rational_content([Fraction(1, 6) * x for x in (15, 2, 75, -32)]) == Fraction(1, 6)
-    assert rational_content([4, 6]) == 2
-    assert rational_content([Fraction(3, 4), Fraction(9, 2)]) == Fraction(3, 4)
-    assert rational_content([]) == 0
-    assert rational_content([0, Fraction(0)]) == 0
 
 
 def test_binomial_row_sums():

@@ -15,7 +15,8 @@ from powersum_forge.cubic import (
     substitute,
     verify_cubic_identity,
 )
-from powersum_forge.polynomials import NEG_INFINITY, Polynomial, powers_telescope
+from powersum_forge.polynomials import NEG_INFINITY, Polynomial, joint_content, powers_telescope
+from powersum_forge.powersums import PowerSumCombo
 from powersum_forge.quadratic import (
     PythagoreanQuadruple,
     SquareFormQuadruple,
@@ -105,6 +106,16 @@ def test_ring_homomorphism_under_evaluation(ca, cb, x):
 def test_polynomial_hash_consistency():
     assert hash(Polynomial({1: 2})) == hash(Polynomial([(1, 1), (1, 1)]))
     assert Polynomial({1: 2}) in {Polynomial({1: 2})}
+
+
+def test_joint_content_examples():
+    combo = PowerSumCombo({e: Fraction(x, 6) for e, x in zip((2, 3, 4, 5), (15, 2, 75, -32))})
+    assert joint_content([combo]) == Fraction(1, 6)
+    assert joint_content([Polynomial.constant(4), Polynomial.constant(6)]) == 2
+    halves = [Polynomial.constant(Fraction(3, 4)), Polynomial.monomial(1, Fraction(9, 2))]
+    assert joint_content(halves) == Fraction(3, 4)
+    assert joint_content([]) == 0
+    assert joint_content([Polynomial.zero(), PowerSumCombo.zero()]) == 0
 
 
 # --- powers_telescope ---------------------------------------------------------

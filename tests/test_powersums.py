@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powersum_forge.cli import main
 from powersum_forge.polynomials import Polynomial
 from powersum_forge.powersums import (
     CONSTANT_EXP,
@@ -179,6 +181,68 @@ def test_combo_evaluation_is_linear(t1, t2, n):
     assert (3 * c1).evaluate(n) == 3 * c1.evaluate(n)
 
 
+def test_combo_compares_with_scalars_like_polynomial():
+    assert 1 + S(2) - S(2) == 1
+    assert PowerSumCombo.zero() == 0
+    assert S(2) != 0
+
+
+def test_combos_and_polynomials_do_not_mix():
+    with pytest.raises(TypeError):
+        Polynomial({1: 1}) + S(1)
+    with pytest.raises(TypeError):
+        S(1) - Polynomial({1: 1})
+    with pytest.raises(TypeError):
+        Polynomial({1: 1}) * S(1)
+    assert Polynomial.zero() != PowerSumCombo()
+    assert Polynomial.constant(3) != 3 + PowerSumCombo()
+
+
+# --- differential check against a plain Fraction-dict reference ----------
+#
+# The reference keeps {exponent: Fraction} with no zero entries (exponent -1
+# is the constant) and does the linear algebra directly; PowerSumCombo must
+# agree with it through its public, rational view.
+
+
+def ref_combo(terms: dict) -> dict:
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def ref_combo_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_combo(out)
+
+
+def ref_combo_evaluate(a: dict, n: int) -> Fraction:
+    return sum(
+        (c if e == CONSTANT_EXP else c * direct_powersum(e, n) for e, c in a.items()),
+        Fraction(0),
+    )
+
+
+combo_terms = st.dictionaries(st.integers(-1, 8), st.fractions(max_denominator=30), max_size=5)
+
+
+@given(combo_terms, combo_terms, st.fractions(max_denominator=20), st.integers(0, 8))
+def test_combo_matches_reference(ta, tb, s, n):
+    a, b = PowerSumCombo(ta), PowerSumCombo(tb)
+    ra, rb = ref_combo(ta), ref_combo(tb)
+    assert a.terms == ra
+    assert a.exponents == tuple(sorted(ra))
+    assert a.constant == ra.get(CONSTANT_EXP, 0)
+    assert (a + b).terms == ref_combo_add(ra, rb)
+    assert (a - b).terms == ref_combo_add(ra, {e: -c for e, c in rb.items()})
+    assert (-a).terms == {e: -c for e, c in ra.items()}
+    assert (s * a).terms == ref_combo({e: s * c for e, c in ra.items()})
+    assert (a + s).terms == ref_combo_add(ra, {CONSTANT_EXP: s})
+    assert a.evaluate(n) == ref_combo_evaluate(ra, n)
+    same = (a + b) - b
+    assert same == a and hash(same) == hash(a)
+
+
 # --- conversion and evaluation -------------------------------------------
 
 
@@ -205,3 +269,22 @@ def test_extract_common_factor():
     assert scaled[0] == PowerSumCombo({3: 1, 5: 2})
     unchanged, factor = extract_common_factor([PowerSumCombo.zero()])
     assert factor == 1 and unchanged[0].is_zero
+
+
+# --- byte identity of the combo and quadratic CLI output -------------------
+
+# sha256 prefixes of ``main`` stdout, recorded before PowerSumCombo moved to
+# the shared integer representation.
+COMBO_OUTPUT_SHA256 = {
+    "combo product 3 5": "761a5e0debb7a26a",
+    "combo s2s1pow 3 --latex": "31d1ed349e00fa61",
+    "quad triple 3 5 --eval 4": "1d761e5d3db4a415",
+    "quad quadruple 3 --latex": "a9c435c05bc3c1a5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMBO_OUTPUT_SHA256))
+def test_combo_and_quad_output_is_byte_identical(capsys, argv):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == COMBO_OUTPUT_SHA256[argv]

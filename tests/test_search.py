@@ -145,6 +145,16 @@ def test_config_from_dict_and_file(tmp_path):
         ({"seeds": [[1, 6, 8, 9]], "u_range": [1], "v_range": [0, 1]}, "u_range"),
         ({"seeds": [[1, 6, 8, 9]], "u_range": [0, 1]}, "v_range"),
         ({"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": [0, 1], "modes": "Q"}, "modes"),
+        ({"seeds": [[1, 6, 8, 9.9]], "u_range": [0, 1], "v_range": [0, 1]}, "seeds"),
+        ({"seeds": [[1, 6, 8, True]], "u_range": [0, 1], "v_range": [0, 1]}, "seeds"),
+        ({"seeds": [[1, 6, 8, 9]], "u_range": [0.5, 2.7], "v_range": [0, 1]}, "u_range"),
+        ({"seeds": [[1, 6, 8, 9]], "u_range": [0, 1, 2], "v_range": [0, 1]}, "u_range"),
+        ({"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": "01"}, "v_range"),
+        (
+            {"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": [0, 1], "dedupe": "false"},
+            "dedupe",
+        ),
+        ({"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": [0, 1], "force": 1}, "force"),
     ],
 )
 def test_config_from_dict_names_bad_field(obj, field):
@@ -351,12 +361,36 @@ def test_load_rejects_corrupted_record(tmp_path):
 
 def test_scan_records_reports_each_bad_line_and_goes_on():
     good = json.dumps(next(run_search(config([(1, 6, 8, 9)], u=(1, 1), v=(2, 2)))).to_json())
-    lines = [good + "\n", "\n", "not json\n", "[1, 2]\n", '{"seed": ["1"]}\n', good + "\n"]
+    bad_uv = json.dumps({**json.loads(good), "uv": [1.5, 2]})
+    lines = [good + "\n", "\n", "not json\n", "[1, 2]\n", '{"seed": ["1"]}\n', bad_uv, good]
     items = list(scan_records(lines))
-    assert [lineno for lineno, _ in items] == [1, 3, 4, 5, 6]
+    assert [lineno for lineno, _ in items] == [1, 3, 4, 5, 6, 7]
     kinds = [isinstance(item, Exception) for _, item in items]
-    assert kinds == [False, True, True, True, False]
+    assert kinds == [False, True, True, True, True, False]
     assert items[0][1].taxicab == 1729
+    assert "uv[0]" in str(items[4][1])
+
+
+@pytest.mark.parametrize(
+    "key,value,field",
+    [
+        ("seed", ["1", "6", "8"], "seed"),
+        ("seed", [1, 6, 8, 9.0], "seed[3]"),
+        ("uv", [1.5, 2], "uv[0]"),
+        ("raw", ["1", "12", "-10", False], "raw[3]"),
+        ("reduced", ["-10", "1", "12"], "reduced"),
+        ("content", 1.0, "content"),
+        ("ratio", {"num": "3", "den": 1.0}, "ratio.den"),
+        ("taxicab", 1729.5, "taxicab"),
+    ],
+)
+def test_record_from_json_refuses_what_it_would_truncate(key, value, field):
+    obj = next(run_search(config([(1, 6, 8, 9)], u=(1, 1), v=(2, 2)))).to_json()
+    assert SolutionRecord.from_json(obj).uv == (1, 2)
+    obj[key] = value
+    with pytest.raises(ValueError) as err:
+        SolutionRecord.from_json(obj)
+    assert field in str(err.value)
 
 
 def test_load_records_single_record(tmp_path):
