@@ -4,7 +4,7 @@ Subcommands mirror the library surface: ``bernoulli``, ``faulhaber``,
 ``combo``, ``sandor``, ``verify``, ``relation``, ``quad`` and
 ``search``.  Output is JSON by default; ``--latex`` switches to the
 display form where one exists.  Exit codes: 0 success, 1 verification
-failure, 2 usage or input error.
+failure or a reader that closed stdout early, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -19,10 +20,8 @@ from pathlib import Path
 from . import render
 from .cubic import (
     CubicQuadruple,
-    FormQuadruple,
     check_characterization,
     content_reduce,
-    evaluate_forms,
     sandor_generate,
     substitute,
     verify_cubic_identity,
@@ -197,6 +196,8 @@ def cmd_relation(args) -> tuple[int, str]:
 def cmd_quad(args) -> tuple[int, str]:
     if args.construction in ("piezas", "equal-sums") and args.eval_at is not None:
         raise ValueError("--eval applies to quadruple and triple constructions")
+    if args.construction != "piezas" and args.degenerate is not None:
+        raise ValueError("--degenerate applies to the piezas construction")
     if args.construction == "piezas":
         seed = PythagoreanQuadruple(args.values[0], args.values[1], args.values[2], args.values[3])
         if args.degenerate is not None:
@@ -259,9 +260,9 @@ def cmd_search(args) -> tuple[int, str]:
     if cfg.output:
         write_records(records, cfg.output)
         return OK, _emit({"output": cfg.output, **_search_summary(stats)})
-    text = "\n".join(json.dumps(r.to_json(), separators=(",", ":")) for r in records)
+    write_records(records, sys.stdout)
     print(_emit(_search_summary(stats)), file=sys.stderr)
-    return OK, text
+    return OK, ""
 
 
 def _search_summary(stats: SearchStats) -> dict:
@@ -347,11 +348,17 @@ def main(argv=None) -> int:
                     f"quad {args.construction} takes {expected} integer argument(s)"
                 )
         code, text = args.handler(args)
+        if text:
+            print(text)
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if text:
-        print(text)
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so the
+        # interpreter's final flush does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return VERIFICATION_FAILED
     return code
 
 

@@ -201,7 +201,7 @@ def substitute(fq: FormQuadruple, matrix: Matrix2) -> FormQuadruple:
 
 
 def evaluate_forms(fq: FormQuadruple, u: int, v: int) -> tuple[int, int, int, int]:
-    """Numeric quadruple (q1, q2, q3, q4)(u, v)."""
+    """Numeric quadruple (q1, q2, q3, q4)(u, v); a square quadruple's ``forms`` work too."""
     return tuple(f.evaluate(u, v) for f in fq.forms)
 
 

@@ -1,9 +1,11 @@
 """Exact integer and rational arithmetic substrate.
 
-Integers are plain Python ints (arbitrary precision), rationals are
-``fractions.Fraction``, which already guarantees the invariants the rest
-of the library leans on: the denominator is positive, every value is
-stored fully reduced, and zero is ``0/1``.
+Integers are plain Python ints (arbitrary precision) and single
+rationals, such as Bernoulli numbers and scale factors, are
+``fractions.Fraction``.  Polynomials and power-sum combinations store no
+``Fraction``s: they keep integer numerators over one denominator in a
+normal form of their own (:mod:`powersum_forge.polynomials`) and return
+``Fraction``s only from their public, rational view.
 
 Bernoulli numbers use the ``B(1) = -1/2`` sign convention.  The opposite
 convention (``B(1) = +1/2``) differs in exactly that single value, but

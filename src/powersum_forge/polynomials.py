@@ -13,11 +13,12 @@ Two bases use it, and never mix: :class:`Polynomial` (key = degree) and
 ``powersums.PowerSumCombo`` (key = exponent, constant in slot -1).
 
 ``Polynomial`` adds the ring operations, all on integers: products and
-powers are integer convolutions, evaluation at an integer is Horner's
-rule with one division at the end, and division by a polynomial with
-leading coefficient +-1 is synthetic division.  It is a small expansion
+powers are integer convolutions, and evaluation at an integer is
+Horner's rule with one division at the end.  It is a small expansion
 engine used to verify identities by brute-force cancellation, not a
-general symbolic layer.
+general symbolic layer: there is no polynomial division.  The one
+quotient the library needs, by the forced roots ``u^s (u+1)^t`` of
+the power-sum relations, is :func:`_strip_forced_roots`.
 
 Every identity the library proves has one shape, a sum of e-th powers
 that telescopes to a single e-th power, and :func:`powers_telescope`
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -227,40 +229,6 @@ class Polynomial(ExactCombination):
         # and the leading numerator stays nonzero, so the result is normal.
         return Polynomial._make(_int_pow(self._num, n), self._den**n)
 
-    def __divmod__(self, other):
-        """Exact division over the rationals: ``self == q * other + r``.
-
-        Runs on integers.  With ``other``'s numerators ``B`` (leading
-        entry ``L``) and ``k`` quotient terms, ``L^k * self`` divides
-        by ``B`` with an integer quotient and remainder (pseudo-division),
-        so every step below divides exactly.  When ``L`` is +-1, as for
-        a monic integer divisor like ``u + 1``, no scaling is needed and
-        this is plain synthetic division.
-        """
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        divisor = other._num
-        n = len(divisor) - 1
-        lead = divisor[-1]
-        k = max(len(self._num) - n, 0)
-        scale = 1 if lead in (1, -1) else lead**k
-        rem = [c * scale for c in self._num]
-        quo = [0] * k
-        for i in reversed(range(k)):
-            q = rem[i + n] // lead
-            quo[i] = q
-            if q:
-                for j, c in enumerate(divisor):
-                    rem[i + j] -= q * c
-        den = self._den * scale
-        return (
-            Polynomial._from_ints(_scaled(quo, other._den), den),
-            Polynomial._from_ints(rem[:n], den),
-        )
-
 
 def _normalize(num: list[int], den: int) -> tuple[list[int], int]:
     """Trim trailing zeros and divide out ``gcd(content, den)``; den > 0 afterwards."""
@@ -305,6 +273,25 @@ def _int_pow(num: list[int], n: int) -> list[int]:
         if n:
             base = _convolve(base, base)
     return result
+
+
+def _strip_forced_roots(polys: Sequence[Polynomial]) -> tuple[list[Polynomial], int, int]:
+    """Divide nonzero ``polys`` by the largest ``u^s (u+1)^t`` dividing all of them.
+
+    Returns ``(quotients, s, t)``.  ``u^s`` goes by dropping the ``s``
+    low zero numerators; each ``u + 1`` by synthetic division, while
+    every polynomial vanishes at ``u = -1``.  ``u + 1`` is primitive,
+    so by Gauss's lemma each quotient keeps its numerators' content and
+    stays in normal form over the same denominator.
+    """
+    s = min(p.lowest_degree for p in polys)
+    nums = [p._num[s:] for p in polys]
+    t = 0
+    while all(sum(num[::2]) == sum(num[1::2]) for num in nums):
+        # Horner at -1 from the top: the partial values are the quotient.
+        nums = [list(accumulate(reversed(num[1:]), lambda b, c: c - b))[::-1] for num in nums]
+        t += 1
+    return [Polynomial._make(num, p._den) for num, p in zip(nums, polys)], s, t
 
 
 def powers_telescope(parts: Sequence[Polynomial], exponent: int) -> bool:

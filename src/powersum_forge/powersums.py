@@ -76,11 +76,7 @@ class PowerSumCombo(ExactCombination):
 
     def evaluate(self, n: Scalar) -> Fraction:
         """Value of the combination at integer (or rational) ``n``."""
-        total = Fraction(0)
-        for e, c in enumerate(self._num, CONSTANT_EXP):
-            if c:
-                total += c if e == CONSTANT_EXP else c * faulhaber(e).evaluate(n)
-        return total / self._den
+        return self.to_polynomial().evaluate(n)
 
     def to_polynomial(self) -> Polynomial:
         """Expand every power sum into its polynomial in ``n``."""

@@ -65,9 +65,6 @@ class SquareFormQuadruple:
     def forms(self) -> tuple[BinaryQuadraticForm, ...]:
         return (self.q1, self.q2, self.q3, self.q4)
 
-    def evaluate(self, u: int, v: int) -> tuple[int, int, int, int]:
-        return tuple(f.evaluate(u, v) for f in self.forms)
-
 
 def verify_square_identity(sq: SquareFormQuadruple) -> bool:
     """Exact quartic expansion of ``q1^2 + q2^2 + q3^2 - q4^2``.

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 from .cubic import BinaryQuadraticForm, FormQuadruple, verify_cubic_identity
-from .polynomials import Polynomial, joint_content, powers_telescope
+from .polynomials import Polynomial, _strip_forced_roots, joint_content, powers_telescope
 from .powersums import PowerSumCombo, extract_common_factor, product, s1_power, s2_s1_power, square
 
 __all__ = [
@@ -122,9 +122,6 @@ class ComboQuadruple:
     forms: FormQuadruple
     mode: RelationMode
 
-    def evaluate(self, n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple(c.evaluate(n) for c in self.combos)
-
 
 def build_relation(fq: FormQuadruple, mode: RelationMode) -> ComboQuadruple:
     """Apply the mode's substitution to each form of a verified quadruple."""
@@ -184,19 +181,9 @@ def factor_common_root(pi: PolyIdentity) -> tuple[PolyIdentity, Polynomial]:
     re-verified.  Returns ``(quotient_identity, divisor)``, where the
     divisor may be 1.
     """
-    polys = list(pi.polys)
-    if any(p.is_zero for p in polys):
+    if any(p.is_zero for p in pi.polys):
         return pi, Polynomial.constant(1)
-    shift = min(int(p.lowest_degree) for p in polys)
-    if shift:
-        polys = [divmod(p, Polynomial.monomial(shift))[0] for p in polys]
-    t = 0
-    while True:
-        division = [divmod(p, _U_PLUS_1) for p in polys]
-        if not all(r.is_zero for _, r in division):
-            break
-        polys = [q for q, _ in division]
-        t += 1
+    polys, shift, t = _strip_forced_roots(pi.polys)
     divisor = Polynomial.monomial(shift) * _U_PLUS_1**t
     quotient = PolyIdentity(tuple(polys), pi.scale)
     if not powers_telescope(quotient.polys, 3):

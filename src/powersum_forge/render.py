@@ -11,7 +11,6 @@ power-sum polynomial table).
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,11 +23,8 @@ from .relations import ComboQuadruple, PolyIdentity
 
 __all__ = [
     "fraction_to_json",
-    "fraction_from_json",
     "combo_to_json",
-    "combo_from_json",
     "poly_to_json",
-    "poly_from_json",
     "form_to_json",
     "form_from_json",
     "form_quadruple_to_json",
@@ -54,10 +50,6 @@ def fraction_to_json(q: Fraction) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def fraction_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 def poly_to_json(combination: ExactCombination) -> dict:
     """A polynomial or a power-sum combo as ``{"terms": [...]}``, keys ascending."""
     return {
@@ -68,13 +60,7 @@ def poly_to_json(combination: ExactCombination) -> dict:
     }
 
 
-def poly_from_json(obj: dict, kind: type[ExactCombination] = Polynomial) -> ExactCombination:
-    """The inverse of :func:`poly_to_json`, building a ``kind``."""
-    return kind({int(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in obj["terms"]})
-
-
 combo_to_json = poly_to_json
-combo_from_json = functools.partial(poly_from_json, kind=PowerSumCombo)
 
 
 def form_to_json(form: BinaryQuadraticForm) -> dict:
@@ -199,27 +185,20 @@ def combo_to_latex(combo: PowerSumCombo) -> str:
     return _join_terms([(c, _subscript_symbol(e)) for e, c in combo.terms.items()])
 
 
-def form_to_latex(form: BinaryQuadraticForm, variables: tuple[str, str] = ("u", "v")) -> str:
-    u, v = variables
+def form_to_latex(form: BinaryQuadraticForm) -> str:
     return _join_terms(
         [
-            (Fraction(form.alpha), f"{u}^2"),
-            (Fraction(form.beta), f"{u}{v}"),
-            (Fraction(form.gamma), f"{v}^2"),
+            (Fraction(form.alpha), "u^2"),
+            (Fraction(form.beta), "uv"),
+            (Fraction(form.gamma), "v^2"),
         ]
     )
 
 
-def power_display(parts: Sequence[str], exponent: int, split: int | None = None) -> str:
-    """``(p1)^e + ... = (pn)^e`` with the last ``split`` parts on the right.
-
-    ``split`` defaults to 1 (a single right-hand side term).
-    """
-    rhs_count = 1 if split is None else split
-    wrapped = [f"({p})^{exponent}" for p in parts]
-    lhs = " + ".join(wrapped[: len(wrapped) - rhs_count])
-    rhs = " + ".join(wrapped[len(wrapped) - rhs_count:])
-    return f"{lhs} = {rhs}"
+def power_display(parts: Sequence[str], exponent: int) -> str:
+    """``(p1)^e + ... + (p_{n-1})^e = (pn)^e``."""
+    *lhs, rhs = [f"({p})^{exponent}" for p in parts]
+    return f"{' + '.join(lhs)} = {rhs}"
 
 
 def cubic_forms_latex(fq: FormQuadruple) -> str:
@@ -234,5 +213,5 @@ def combo_quadruple_latex(cq: ComboQuadruple) -> str:
     return power_display([combo_to_latex(c) for c in cq.combos], 3)
 
 
-def poly_identity_latex(pi: PolyIdentity, var: str = "u") -> str:
-    return power_display([poly_to_latex(p, var=var) for p in pi.polys], 3)
+def poly_identity_latex(pi: PolyIdentity) -> str:
+    return power_display([poly_to_latex(p) for p in pi.polys], 3)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
@@ -377,15 +377,12 @@ def write_records(records: Iterable[SolutionRecord], destination: str | Path | I
     return count
 
 
-def scan_records(
-    lines: Iterable[str], verify: bool = True
-) -> Iterator[tuple[int, SolutionRecord | Exception]]:
-    """Decode JSONL solution records one line at a time.
+def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | Exception]]:
+    """Decode and re-verify JSONL solution records one line at a time.
 
-    Yields ``(line_number, record)`` for every non-blank line, with the
-    record re-verified by default; a line that fails to decode or
-    verify yields its exception in place of the record, and scanning
-    goes on.  Only one line is held in memory at a time.
+    Yields ``(line_number, record)`` for every non-blank line; a line
+    that fails to decode or verify yields its exception in place of the
+    record, and scanning goes on.  Only one line is held in memory at a time.
     """
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -395,20 +392,19 @@ def scan_records(
             if not isinstance(obj, dict):
                 raise ValueError("not a JSON object")
             record = SolutionRecord.from_json(obj)
-            if verify:
-                verify_record(record)
+            verify_record(record)
         except (ArithmeticError, IndexError, KeyError, TypeError, ValueError) as exc:
             yield lineno, exc
         else:
             yield lineno, record
 
 
-def load_records(path: str | Path, verify: bool = True) -> list[SolutionRecord]:
-    """Read a JSONL solutions file, re-verifying each record by default."""
+def load_records(path: str | Path) -> list[SolutionRecord]:
+    """Read a JSONL solutions file, re-verifying each record."""
     out: list[SolutionRecord] = []
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, item in scan_records(fh, verify):
+            for lineno, item in scan_records(fh):
                 if isinstance(item, Exception):
                     raise ValueError(f"{path}:{lineno}: {item}") from item
                 out.append(item)

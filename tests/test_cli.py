@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import powersum_forge
 from powersum_forge.cli import main
 
 from goldens import EQ6_LATEX, EQ19_LATEX, EQ24_QUARTICS, TABLE1, squash
@@ -167,6 +172,45 @@ def test_search_stdout_mode(capsys, tmp_path):
     assert record["raw"] == ["1", "12", "-10", "9"]
     assert record["taxicab"] == "1729"
     assert json.loads(err)["records"] == 1
+
+
+def test_search_stdout_matches_output_file(capsys, tmp_path):
+    cfg = {
+        "seeds": [[1, 6, 8, 9], [3, 4, 5, 6]],
+        "u_range": [-5, 5],
+        "v_range": [-5, 5],
+        "modes": ["cubic", "Q:1,2", "F:2"],
+    }
+    assert main(["search", "--config", write_config(tmp_path, cfg)]) == 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.err)
+    out_path = tmp_path / "out.jsonl"
+    cfg["output"] = str(out_path)
+    assert main(["search", "--config", write_config(tmp_path, cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert captured.out and captured.out == out_path.read_text(encoding="utf-8")
+    assert report == {"output": str(out_path), **summary}
+
+
+def test_search_into_closed_stdout_exits_1_without_traceback(tmp_path):
+    # about 800 KB of records, far more than a pipe buffers
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [-60, 60], "v_range": [-60, 60]}
+    src = str(Path(powersum_forge.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "powersum_forge", "search", "--config", write_config(tmp_path, cfg)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize("argv", [["quadruple", "2"], ["triple", "1", "3"], ["equal-sums", "3"]])
+def test_degenerate_outside_piezas_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "quad", *argv, "--degenerate", "5")
+    assert code == 2 and out == ""
+    assert err == "error: --degenerate applies to the piezas construction"
 
 
 def test_quad_piezas(capsys):

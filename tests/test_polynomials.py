@@ -15,7 +15,13 @@ from powersum_forge.cubic import (
     substitute,
     verify_cubic_identity,
 )
-from powersum_forge.polynomials import NEG_INFINITY, Polynomial, joint_content, powers_telescope
+from powersum_forge.polynomials import (
+    NEG_INFINITY,
+    Polynomial,
+    _strip_forced_roots,
+    joint_content,
+    powers_telescope,
+)
 from powersum_forge.powersums import PowerSumCombo
 from powersum_forge.quadratic import (
     PythagoreanQuadruple,
@@ -72,28 +78,6 @@ def test_power_and_evaluate():
     assert p.evaluate(Fraction(1, 2)) == Fraction(3, 2)
     with pytest.raises(ValueError):
         p ** -1
-
-
-def test_divmod_exact_and_with_remainder():
-    num = Polynomial({4: 1, 0: -1})  # x^4 - 1
-    den = Polynomial({1: 1, 0: -1})  # x - 1
-    q, r = divmod(num, den)
-    assert r.is_zero
-    assert q == Polynomial({3: 1, 2: 1, 1: 1, 0: 1})
-    q, r = divmod(Polynomial({2: 1, 0: 1}), Polynomial({1: 1}))
-    assert q == Polynomial({1: 1}) and r == Polynomial({0: 1})
-    with pytest.raises(ZeroDivisionError):
-        divmod(num, Polynomial.zero())
-
-
-@given(coeffs, coeffs)
-def test_divmod_reconstruction(ca, cb):
-    a, b = Polynomial(ca), Polynomial(cb)
-    if b.is_zero:
-        return
-    q, r = divmod(a, b)
-    assert q * b + r == a
-    assert r.is_zero or r.degree < b.degree
 
 
 @given(coeffs, coeffs, st.integers(-5, 5))
@@ -272,21 +256,6 @@ poly_coeffs = st.one_of(coeffs, int_coeffs)
 points = st.one_of(st.integers(-12, 12), st.fractions(max_denominator=9))
 
 
-def divisor(lead):
-    """Coefficients below degree ``top`` from ``poly_coeffs``, then ``lead`` at ``top``."""
-    return st.builds(
-        lambda low, top, c: {**{d: v for d, v in low.items() if d < top}, top: c},
-        poly_coeffs,
-        st.integers(0, 4),
-        lead,
-    )
-
-
-monic_divisors = divisor(st.just(1))
-negated_monic_divisors = divisor(st.just(-1))
-other_divisors = divisor(st.fractions(max_denominator=12).filter(lambda c: c not in (0, 1, -1)))
-
-
 @given(poly_coeffs, poly_coeffs)
 def test_ring_operations_match_reference(ca, cb):
     a, b = Polynomial(ca), Polynomial(cb)
@@ -312,20 +281,40 @@ def test_evaluate_matches_reference(ca, x):
     assert value == ref_evaluate(ref(ca), x)
 
 
-@given(poly_coeffs, st.one_of(monic_divisors, negated_monic_divisors, other_divisors))
-def test_divmod_matches_reference(ca, cb):
-    q, r = divmod(Polynomial(ca), Polynomial(cb))
-    ref_q, ref_r = ref_divmod(ref(ca), ref(cb))
-    assert q.coefficients == ref_q and q == Polynomial(ref_q)
-    assert r.coefficients == ref_r and r == Polynomial(ref_r)
+U_PLUS_1 = {0: 1, 1: 1}
 
 
-def test_divmod_by_u_plus_1_and_its_negation():
-    p = Polynomial({0: 2, 1: 5, 2: 4, 3: 1})  # (u+1)^2 (u+2)
-    assert divmod(p, Polynomial({0: 1, 1: 1})) == (Polynomial({0: 2, 1: 3, 2: 1}), 0)
-    assert divmod(p, Polynomial({0: -1, 1: -1})) == (Polynomial({0: -2, 1: -3, 2: -1}), 0)
-    q, r = divmod(Polynomial({0: Fraction(1, 3), 2: 1}), Polynomial({0: 1, 1: 1}))
-    assert q == Polynomial({0: -1, 1: 1}) and r == Fraction(4, 3)
+nonzero_coeffs = poly_coeffs.filter(lambda c: any(c.values()))
+
+
+@given(
+    st.lists(
+        st.tuples(nonzero_coeffs, st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4
+    )
+)
+def test_strip_forced_roots_matches_reference(parts):
+    products = [ref_mul(ref_mul(ref(c), {s: 1}), ref_pow(U_PLUS_1, t)) for c, s, t in parts]
+    quotients, s, t = _strip_forced_roots([Polynomial(p) for p in products])
+    ref_s = min(min(p) for p in products)
+    expected = [{d - ref_s: c for d, c in p.items()} for p in products]
+    ref_t = 0
+    while all(ref_evaluate(p, -1) == 0 for p in expected):
+        expected = [ref_divmod(p, U_PLUS_1)[0] for p in expected]
+        ref_t += 1
+    assert (s, t) == (ref_s, ref_t)
+    for q, e in zip(quotients, expected):
+        assert q.coefficients == e and q == Polynomial(e)
+
+
+def test_strip_forced_roots_keeps_the_denominator():
+    # u (u+1)^2 (u+2) / 3 and (u+1)(u+3) / 6 share only u+1
+    p = Polynomial({1: 2, 2: 5, 3: 4, 4: 1}) * Fraction(1, 3)
+    r = Polynomial({0: 3, 1: 4, 2: 1}) * Fraction(1, 6)
+    (qp, qr), s, t = _strip_forced_roots([p, r])
+    assert (s, t) == (0, 1)
+    assert qp == Polynomial({1: 2, 2: 3, 3: 1}) * Fraction(1, 3)
+    assert qr == Polynomial({0: 3, 1: 1}) * Fraction(1, 6)
+    assert _strip_forced_roots([p]) == ([Polynomial({0: 2, 1: 1}) * Fraction(1, 3)], 1, 2)
 
 
 def test_normal_form_gives_equal_values_and_hashes():

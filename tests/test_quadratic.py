@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from powersum_forge.cubic import evaluate_forms
 from powersum_forge.polynomials import Polynomial, powers_telescope
 from powersum_forge.powersums import PowerSumCombo, extract_common_factor, square
 from powersum_forge.quadratic import (
@@ -45,7 +46,7 @@ def test_piezas_golden_2367():
         (7, -4, 7),
     )
     assert verify_square_identity(sq)
-    assert sq.evaluate(1, 0) == (2, 3, 6, 7)
+    assert evaluate_forms(sq, 1, 0) == (2, 3, 6, 7)
 
 
 def test_piezas_golden_1223():
@@ -63,7 +64,7 @@ def test_piezas_numeric_sweep():
     sq = piezas_generate(PythagoreanQuadruple(2, 3, 6, 7))
     for u in range(-6, 7):
         for v in range(-6, 7):
-            a, b, c, d = sq.evaluate(u, v)
+            a, b, c, d = evaluate_forms(sq, u, v)
             assert a * a + b * b + c * c == d * d
 
 

@@ -161,7 +161,7 @@ def test_relation_equal_exponents_degenerates_to_square():
 def test_relation_soundness_numeric():
     for cq in (eq19_relation(), eq23_relation()):
         for n in range(1, 16):
-            c1, c2, c3, c4 = cq.evaluate(n)
+            c1, c2, c3, c4 = (c.evaluate(n) for c in cq.combos)
             assert c1**3 + c2**3 + c3**3 == c4**3
 
 
