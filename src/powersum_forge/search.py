@@ -13,6 +13,17 @@ evaluates lazily, one point at a time, so memory stays bounded however
 large the grid; the ``threads`` argument is accepted for compatibility
 and changes nothing, so every run emits byte-identical records.
 
+Cubic mode evaluates the reduced family with a row kernel: for each
+``u`` it folds ``alpha*u^2`` and ``beta*u`` of every form into two
+constants, so each point costs ``A + (B + gamma*v)*v`` per form
+(:func:`cubic.evaluate_forms` is the same value, one point at a time).
+One canonicalizer, :func:`canonicalize`, serves both the search and
+:func:`verify_record`.  One record-line encoder, a single ``%``-format
+template in :func:`write_records`, writes every record, to a file or to
+stdout; :func:`scan_records` reads those lines back and re-verifies
+each one, building a seed's :class:`CubicQuadruple` and ratio only when
+the seed differs from the line before.
+
 Relation modes (``Q:k,m`` / ``F:k``) evaluate the expanded univariate
 identity at each integer ``u`` in ``u_range``; the record stores
 ``uv = [u, 0]`` for those, and ``v_range`` is ignored.  A value that is
@@ -32,11 +43,10 @@ from typing import IO, Iterable, Iterator, Sequence, Union
 from .cubic import (
     CubicQuadruple,
     content_reduce,
-    evaluate_forms,
     fraction_ratio,
     sandor_generate,
 )
-from .exactcore import json_int, json_ints
+from .exactcore import _JSON_INT_TYPES, json_int, json_ints
 from .relations import FMode, QMode, RelationMode, build_relation, expand_relation, parse_mode
 
 __all__ = [
@@ -72,18 +82,26 @@ def canonicalize(quad: Sequence[int]) -> tuple[IntQuad, int]:
     Divides out the content (gcd of the four entries), flips the global
     sign so the last entry is positive (cubes are odd, so this preserves
     the equation), and sorts the first three entries ascending.  Returns
-    ``(canonical, content)``.  The all-zero tuple is rejected.
+    ``(canonical, content)``.  The all-zero tuple is rejected, and an
+    entry that is not an integer raises TypeError instead of being
+    truncated.
     """
-    q = tuple(int(x) for x in quad)
-    if all(x == 0 for x in q):
+    x1, x2, x3, x4 = quad
+    g = math.gcd(x1, x2, x3, x4)
+    if not g:
         raise ValueError("cannot canonicalize the zero tuple")
-    g = 0
-    for x in q:
-        g = math.gcd(g, x)
-    reduced = [x // g for x in q]
-    if reduced[3] < 0:
-        reduced = [-x for x in reduced]
-    return (*sorted(reduced[:3]), reduced[3]), g
+    if x4 < 0:
+        g = -g
+    x1 //= g
+    x2 //= g
+    x3 //= g
+    if x1 > x2:
+        x1, x2 = x2, x1
+    if x2 > x3:
+        x2, x3 = x3, x2
+        if x1 > x2:
+            x1, x2 = x2, x1
+    return (x1, x2, x3, x4 // g), abs(g)
 
 
 def detect_taxicab(quad: Sequence[int]) -> int | None:
@@ -98,19 +116,15 @@ def detect_taxicab(quad: Sequence[int]) -> int | None:
     Canonicalization makes this invariant under rescaling of the raw
     tuple (the content is stripped before the pairs are compared).
     """
-    x1, x2, x3, d = (int(x) for x in quad)
+    x1, x2, x3, d = quad
     if d <= 0:
         return None
-    negatives = [x for x in (x1, x2, x3) if x < 0]
-    positives = [x for x in (x1, x2, x3) if x > 0]
-    if len(negatives) != 1 or len(positives) != 2:
+    x, y, z = sorted((x1, x2, x3))
+    if not x < 0 < y:  # exactly one negative entry and two positive ones
         return None
-    x = -negatives[0]
-    pair_a = tuple(sorted(positives))
-    pair_b = tuple(sorted((x, d)))
-    if pair_a == pair_b:
+    if (y, z) == ((-x, d) if -x < d else (d, -x)):
         return None
-    return positives[0] ** 3 + positives[1] ** 3
+    return y**3 + z**3
 
 
 @dataclass(frozen=True)
@@ -125,41 +139,48 @@ class SolutionRecord:
     ratio: Fraction
     taxicab: int | None
 
-    def to_json(self) -> dict:
-        return {
-            "seed": [str(x) for x in self.seed.as_tuple],
-            "uv": [str(self.uv[0]), str(self.uv[1])],
-            "raw": [str(x) for x in self.raw],
-            "reduced": [str(x) for x in self.reduced],
-            "content": str(self.content),
-            "ratio": {"num": str(self.ratio.numerator), "den": str(self.ratio.denominator)},
-            "taxicab": str(self.taxicab) if self.taxicab is not None else None,
-        }
-
     @classmethod
-    def from_json(cls, obj: dict) -> "SolutionRecord":
+    def from_json(
+        cls, obj: dict, known: tuple[CubicQuadruple, Fraction] | None = None
+    ) -> "SolutionRecord":
         """A record from its JSON object; a field that is not a whole
-        number (or a list of them) raises ValueError naming it."""
+        number (or a list of them) raises ValueError naming it.
+
+        ``known`` is the validated seed of ``obj["seed"]`` with its
+        ratio, when the caller already has them; the record shares that
+        ratio object when its own ``ratio`` matches it term for term.
+        """
+        seed, ratio = _read_seed(obj["seed"]) if known is None else known
+        num = json_int(obj["ratio"]["num"], "ratio.num")
+        den = json_int(obj["ratio"]["den"], "ratio.den")
+        if num != ratio.numerator or den != ratio.denominator:
+            ratio = Fraction(num, den)
         taxicab = obj.get("taxicab")
         return cls(
-            seed=CubicQuadruple(*json_ints(obj["seed"], "seed", 4)),
-            uv=json_ints(obj["uv"], "uv", 2),
-            raw=json_ints(obj["raw"], "raw", 4),
-            reduced=json_ints(obj["reduced"], "reduced", 4),
-            content=json_int(obj["content"], "content"),
-            ratio=Fraction(
-                json_int(obj["ratio"]["num"], "ratio.num"),
-                json_int(obj["ratio"]["den"], "ratio.den"),
-            ),
-            taxicab=json_int(taxicab, "taxicab") if taxicab is not None else None,
+            seed,
+            json_ints(obj["uv"], "uv", 2),
+            json_ints(obj["raw"], "raw", 4),
+            json_ints(obj["reduced"], "reduced", 4),
+            json_int(obj["content"], "content"),
+            ratio,
+            None if taxicab is None else json_int(taxicab, "taxicab"),
         )
+
+
+def _read_seed(raw) -> tuple[CubicQuadruple, Fraction]:
+    """A record's ``seed`` field, validated, and its ratio."""
+    seed = CubicQuadruple(*json_ints(raw, "seed", 4))
+    return seed, fraction_ratio(seed)
 
 
 def verify_record(record: SolutionRecord) -> None:
     """Re-derive a record's fields from ``raw`` and ``seed``; raise ValueError on mismatch.
 
-    ``raw`` itself is not re-evaluated from ``seed`` and ``uv``.
+    A ``raw`` tuple with a zero entry is refused, as the search never
+    emits one.  ``raw`` itself is not re-evaluated from ``seed`` and ``uv``.
     """
+    if 0 in record.raw:
+        raise ValueError(f"raw tuple {record.raw} has a zero entry")
     x1, x2, x3, x4 = record.reduced
     if x1**3 + x2**3 + x3**3 != x4**3:
         raise ValueError(f"reduced tuple {record.reduced} fails the cubic equation")
@@ -316,7 +337,7 @@ def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionReco
         for mode in cfg.modes:
             for uv, raw in _evaluate_family(seed, mode, cfg):
                 stats.evaluated += 1
-                if any(x == 0 for x in raw):
+                if 0 in raw:
                     stats.degenerate += 1
                     continue
                 reduced, content = canonicalize(raw)
@@ -326,15 +347,8 @@ def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionReco
                         continue
                     seen.add(reduced)
                 stats.emitted += 1
-                yield SolutionRecord(
-                    seed=seed,
-                    uv=uv,
-                    raw=raw,
-                    reduced=reduced,
-                    content=content,
-                    ratio=ratio,
-                    taxicab=detect_taxicab(reduced),
-                )
+                taxicab = detect_taxicab(reduced)
+                yield SolutionRecord(seed, uv, raw, reduced, content, ratio, taxicab)
 
 
 def _evaluate_family(
@@ -343,12 +357,24 @@ def _evaluate_family(
     cfg: SearchConfig,
 ) -> Iterator[tuple[tuple[int, int], IntQuad]]:
     u_lo, u_hi = cfg.u_range
-    v_lo, v_hi = cfg.v_range
     family, _ = content_reduce(sandor_generate(seed))
     if mode == "cubic":
+        # Row kernel: q_i(u, v) = alpha_i*u^2 + beta_i*u*v + gamma_i*v^2
+        # is A_i + (B_i + gamma_i*v)*v with A_i = alpha_i*u^2 and
+        # B_i = beta_i*u fixed for the whole row.
+        (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = family.coefficient_rows
+        row = range(cfg.v_range[0], cfg.v_range[1] + 1)
         for u in range(u_lo, u_hi + 1):
-            for v in range(v_lo, v_hi + 1):
-                yield (u, v), evaluate_forms(family, u, v)
+            uu = u * u
+            A1, A2, A3, A4 = a1 * uu, a2 * uu, a3 * uu, a4 * uu
+            B1, B2, B3, B4 = b1 * u, b2 * u, b3 * u, b4 * u
+            for v in row:
+                yield (u, v), (
+                    A1 + (B1 + c1 * v) * v,
+                    A2 + (B2 + c2 * v) * v,
+                    A3 + (B3 + c3 * v) * v,
+                    A4 + (B4 + c4 * v) * v,
+                )
     else:
         identity = expand_relation(build_relation(family, mode))
         for u in range(u_lo, u_hi + 1):
@@ -361,6 +387,16 @@ def _evaluate_family(
             yield (u, 0), tuple(x.numerator for x in values)
 
 
+#: The one record encoder: a JSONL line with every integer as a decimal
+#: string, byte for byte ``json.dumps`` of the record's object with
+#: ``separators=(",", ":")``.
+_RECORD_LINE = (
+    '{"seed":["%d","%d","%d","%d"],"uv":["%d","%d"],'
+    '"raw":["%d","%d","%d","%d"],"reduced":["%d","%d","%d","%d"],'
+    '"content":"%d","ratio":{"num":"%d","den":"%d"},"taxicab":%s}\n'
+)
+
+
 def write_records(records: Iterable[SolutionRecord], destination: str | Path | IO[str]) -> int:
     """Write records as JSON lines; returns the number written."""
     if isinstance(destination, (str, Path)):
@@ -369,10 +405,15 @@ def write_records(records: Iterable[SolutionRecord], destination: str | Path | I
                 return write_records(records, fh)
         except OSError as exc:
             raise ValueError(f"cannot write solutions file {destination}: {exc}") from exc
+    write = destination.write
     count = 0
-    for record in records:
-        destination.write(json.dumps(record.to_json(), separators=(",", ":")))
-        destination.write("\n")
+    for r in records:
+        taxicab = "null" if r.taxicab is None else '"%d"' % r.taxicab
+        ratio = r.ratio.numerator, r.ratio.denominator
+        write(
+            _RECORD_LINE
+            % (*r.seed.as_tuple, *r.uv, *r.raw, *r.reduced, r.content, *ratio, taxicab)
+        )
         count += 1
     return count
 
@@ -384,6 +425,10 @@ def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | E
     that fails to decode or verify yields its exception in place of the
     record, and scanning goes on.  Only one line is held in memory at a time.
     """
+    # One-entry cache: the last seed's JSON list, and its validated
+    # CubicQuadruple and ratio.  Equal lists of JSON integers (ints and
+    # strings only, so 1.0 and true never match 1) read the same.
+    seed_json = known = None
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -391,7 +436,11 @@ def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | E
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("not a JSON object")
-            record = SolutionRecord.from_json(obj)
+            raw_seed = obj["seed"]
+            if raw_seed != seed_json or not _JSON_INT_TYPES.issuperset(map(type, raw_seed)):
+                known = _read_seed(raw_seed)
+                seed_json = raw_seed
+            record = SolutionRecord.from_json(obj, known)
             verify_record(record)
         except (ArithmeticError, IndexError, KeyError, TypeError, ValueError) as exc:
             yield lineno, exc

@@ -346,6 +346,28 @@ def test_verify_jsonl_reports_bad_lines(capsys, tmp_path):
     assert "uv[0]" in report["failures"][2]
 
 
+def test_verify_jsonl_refuses_a_record_with_a_zero_entry(capsys, tmp_path):
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [1, 1], "v_range": [2, 2]}
+    _, good, _ = run(capsys, "search", "--config", write_config(tmp_path, cfg))
+    degenerate = {
+        "seed": ["1", "6", "8", "9"],
+        "uv": ["0", "0"],
+        "raw": ["2", "-2", "0", "0"],
+        "reduced": ["-1", "0", "1", "0"],
+        "content": "2",
+        "ratio": {"num": "3", "den": "1"},
+        "taxicab": None,
+    }
+    path = tmp_path / "degenerate.jsonl"
+    path.write_text(f"{good}\n{json.dumps(degenerate)}\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["records"] == 2
+    assert len(report["failures"]) == 1
+    assert report["failures"][0].startswith("line 2:") and "zero entry" in report["failures"][0]
+
+
 FORM = {"alpha": "1", "beta": "0", "gamma": "2"}
 
 

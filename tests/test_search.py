@@ -1,5 +1,8 @@
+import hashlib
+import io
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from powersum_forge import search
-from powersum_forge.cubic import CubicQuadruple
+from powersum_forge.cubic import (
+    CubicQuadruple,
+    content_reduce,
+    evaluate_forms,
+    fraction_ratio,
+    sandor_generate,
+)
 from powersum_forge.polynomials import Polynomial
 from powersum_forge.relations import FMode, PolyIdentity, QMode
 from powersum_forge.search import (
@@ -33,6 +42,42 @@ def config(seeds, u=(-5, 5), v=(-5, 5), **kw):
         v_range=v,
         **kw,
     )
+
+
+def encode(records) -> str:
+    buf = io.StringIO()
+    write_records(records, buf)
+    return buf.getvalue()
+
+
+def record_obj(record) -> dict:
+    """The JSON object of a record, as ``write_records`` writes it."""
+    return json.loads(encode([record]))
+
+
+def primitive_solutions(max_d):
+    """Primitive ``a^3 + b^3 + c^3 = d^3`` with ``0 < a < b < c < d <= max_d``."""
+    cubes = {x**3: x for x in range(1, max_d + 1)}
+    return [
+        (a, b, cubes[r], d)
+        for d in range(2, max_d + 1)
+        for a in range(1, d)
+        for b in range(a + 1, d)
+        if (r := d**3 - a**3 - b**3) in cubes and b < cubes[r] and math.gcd(a, b, cubes[r], d) == 1
+    ]
+
+
+PRIMITIVE = primitive_solutions(30)
+
+
+@st.composite
+def seeds(draw):
+    """A primitive solution, its four terms permuted (``x^3 + y^3 + z^3 + w^3 = 0``
+    read back as a seed, so signs vary) and scaled by a nonzero integer."""
+    a, b, c, d = draw(st.sampled_from(PRIMITIVE))
+    x, y, z, w = draw(st.permutations((a, b, c, -d)))
+    t = draw(st.integers(-3, 3).filter(bool))
+    return CubicQuadruple(t * x, t * y, t * z, -t * w)
 
 
 # --- canonicalize -----------------------------------------------------------
@@ -65,6 +110,47 @@ def test_canonicalize_collapses_equivalent_tuples(t, perm):
     assert canonicalize(quad)[1] == abs(t)
 
 
+def canonicalize_reference(quad):
+    """``canonicalize`` as it was before the single-gcd form."""
+    q = tuple(int(x) for x in quad)
+    if all(x == 0 for x in q):
+        raise ValueError("cannot canonicalize the zero tuple")
+    g = 0
+    for x in q:
+        g = math.gcd(g, x)
+    reduced = [x // g for x in q]
+    if reduced[3] < 0:
+        reduced = [-x for x in reduced]
+    return (*sorted(reduced[:3]), reduced[3]), g
+
+
+entries = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([0, 2**64, -(2**64), 2**63 - 1, -(2**63)]),
+)
+
+
+@given(st.tuples(*[entries] * 4), st.integers(1, 2**70))
+def test_canonicalize_matches_reference(quad, t):
+    for q in (quad, tuple(t * x for x in quad)):
+        if not any(q):
+            with pytest.raises(ValueError, match="zero tuple"):
+                canonicalize(q)
+            continue
+        assert canonicalize(q) == canonicalize_reference(q)
+        assert canonicalize(list(q)) == canonicalize_reference(q)
+
+
+@pytest.mark.parametrize(
+    "quad",
+    [(6.9, 8.2, 10.5, 12.1), (6, 8, 10, 12.0), (Fraction(6), 8, 10, 12), ("6", 8, 10, 12)],
+)
+def test_canonicalize_refuses_non_integers(quad):
+    with pytest.raises(TypeError):
+        canonicalize(quad)
+
+
 # --- taxicab detection --------------------------------------------------------
 
 
@@ -85,6 +171,33 @@ def test_detect_taxicab_scale_invariance():
         for t in range(2, 6):
             scaled = tuple(t * x for x in q)
             assert detect_taxicab(canonicalize(scaled)[0]) == base
+
+
+def detect_taxicab_reference(quad):
+    """``detect_taxicab`` as it was before the sort-based form."""
+    x1, x2, x3, d = (int(x) for x in quad)
+    if d <= 0:
+        return None
+    negatives = [x for x in (x1, x2, x3) if x < 0]
+    positives = [x for x in (x1, x2, x3) if x > 0]
+    if len(negatives) != 1 or len(positives) != 2:
+        return None
+    pair_a = tuple(sorted(positives))
+    pair_b = tuple(sorted((-negatives[0], d)))
+    if pair_a == pair_b:
+        return None
+    return positives[0] ** 3 + positives[1] ** 3
+
+
+small = st.integers(-12, 12)
+
+
+@given(st.one_of(st.tuples(small, small, small, small), st.tuples(*[entries] * 4)))
+def test_detect_taxicab_matches_reference(quad):
+    assert detect_taxicab(quad) == detect_taxicab_reference(quad)
+    if any(quad):
+        reduced = canonicalize(quad)[0]
+        assert detect_taxicab(reduced) == detect_taxicab_reference(reduced)
 
 
 # --- config -------------------------------------------------------------------
@@ -294,21 +407,63 @@ def test_parallel_and_serial_runs_are_byte_identical(tmp_path):
     assert serial.stat().st_size > 0
 
 
-def test_search_evaluates_lazily_on_large_grid(monkeypatch):
-    calls = 0
-    evaluate_forms = search.evaluate_forms
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return evaluate_forms(*args)
-
-    monkeypatch.setattr(search, "evaluate_forms", counted)
+def test_search_evaluates_lazily_on_large_grid():
+    stats = SearchStats()
     cfg = config([(1, 6, 8, 9)], u=(-500, 500), v=(-500, 500))
-    records = run_search(cfg, threads=8)
+    records = run_search(cfg, stats=stats, threads=8)
     next(records)
     records.close()
-    assert 1 <= calls <= 1001  # at most one u-stripe of the 1001 x 1001 grid
+    assert 1 <= stats.evaluated <= 1001  # at most one u-stripe of the 1001 x 1001 grid
+
+
+boxes = st.one_of(
+    st.tuples(st.integers(-8, 8), st.integers(0, 6), st.integers(-8, 8), st.integers(0, 6)),
+    # off the origin, with values past 64 bits
+    st.tuples(
+        st.integers(-(10**12), 10**12), st.integers(0, 3),
+        st.integers(-(10**12), 10**12), st.integers(0, 3),
+    ),
+    # one row, one column
+    st.tuples(st.integers(-40, 40), st.just(0), st.integers(-40, 40), st.integers(0, 25)),
+    st.tuples(st.integers(-40, 40), st.integers(0, 25), st.integers(-40, 40), st.just(0)),
+)
+
+
+@given(seeds(), boxes)
+def test_cubic_kernel_matches_evaluate_forms(seed, box):
+    u_lo, du, v_lo, dv = box
+    cfg = config([seed.as_tuple], u=(u_lo, u_lo + du), v=(v_lo, v_lo + dv))
+    family, _ = content_reduce(sandor_generate(seed))
+    expected = [
+        ((u, v), evaluate_forms(family, u, v))
+        for u in range(u_lo, u_lo + du + 1)
+        for v in range(v_lo, v_lo + dv + 1)
+    ]
+    assert list(search._evaluate_family(seed, "cubic", cfg)) == expected
+
+
+@pytest.mark.parametrize(
+    "cfg,count,prefix",
+    [
+        # dedupe on; (8, 1, 6, 9) has ratio 7/4
+        (config([(1, 6, 8, 9), (8, 1, 6, 9)], u=(-20, 20), v=(-20, 20)), 980, "5dd4b77e652e4b2a"),
+        (
+            config([(1, 6, 8, 9), (8, 1, 6, 9)], u=(-7, 9), v=(3, 11), dedupe=False),
+            306,
+            "6a437dec84d46db9",
+        ),
+        (
+            config([(1, 6, 8, 9)], u=(-200, 200), v=(0, 0), modes=(QMode(3, 5),)),
+            200,
+            "9d0731e19650ef6d",
+        ),
+    ],
+)
+def test_search_output_is_byte_identical(cfg, count, prefix):
+    # sha256 prefixes recorded before the row kernel and the line encoder
+    text = encode(run_search(cfg))
+    assert len(text.splitlines()) == count
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(prefix)
 
 
 # --- persistence ------------------------------------------------------------------
@@ -347,12 +502,12 @@ def test_load_rejects_corrupted_record(tmp_path):
         taxicab=1729,
     )
     path = tmp_path / "bad.jsonl"
-    obj = record.to_json()
+    obj = json.loads(encode([record]))
     obj["reduced"] = ["-10", "1", "12", "10"]
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad.jsonl:1"):
         load_records(path)
-    obj = record.to_json()
+    obj = json.loads(encode([record]))
     obj["taxicab"] = "1730"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="taxicab"):
@@ -360,7 +515,7 @@ def test_load_rejects_corrupted_record(tmp_path):
 
 
 def test_scan_records_reports_each_bad_line_and_goes_on():
-    good = json.dumps(next(run_search(config([(1, 6, 8, 9)], u=(1, 1), v=(2, 2)))).to_json())
+    good = encode([next(run_search(config([(1, 6, 8, 9)], u=(1, 1), v=(2, 2))))]).strip()
     bad_uv = json.dumps({**json.loads(good), "uv": [1.5, 2]})
     lines = [good + "\n", "\n", "not json\n", "[1, 2]\n", '{"seed": ["1"]}\n', bad_uv, good]
     items = list(scan_records(lines))
@@ -385,7 +540,7 @@ def test_scan_records_reports_each_bad_line_and_goes_on():
     ],
 )
 def test_record_from_json_refuses_what_it_would_truncate(key, value, field):
-    obj = next(run_search(config([(1, 6, 8, 9)], u=(1, 1), v=(2, 2)))).to_json()
+    obj = record_obj(next(run_search(config([(1, 6, 8, 9)], u=(1, 1), v=(2, 2)))))
     assert SolutionRecord.from_json(obj).uv == (1, 2)
     obj[key] = value
     with pytest.raises(ValueError) as err:
@@ -412,3 +567,132 @@ def test_verify_record_checks_ratio():
     )
     with pytest.raises(ValueError, match="ratio"):
         verify_record(record)
+
+
+# --- the record encoder -------------------------------------------------------------
+
+
+def reference_obj(record: SolutionRecord) -> dict:
+    """The record's JSON object as ``SolutionRecord.to_json`` built it."""
+    return {
+        "seed": [str(x) for x in record.seed.as_tuple],
+        "uv": [str(record.uv[0]), str(record.uv[1])],
+        "raw": [str(x) for x in record.raw],
+        "reduced": [str(x) for x in record.reduced],
+        "content": str(record.content),
+        "ratio": {"num": str(record.ratio.numerator), "den": str(record.ratio.denominator)},
+        "taxicab": str(record.taxicab) if record.taxicab is not None else None,
+    }
+
+
+big = st.integers(-(2**100), 2**100)
+quads = st.tuples(big, big, big, big)
+
+
+@st.composite
+def records(draw):
+    seed = draw(seeds())
+    ratio = draw(
+        st.one_of(
+            st.just(fraction_ratio(seed)),
+            st.fractions(),
+            st.builds(Fraction, big, st.integers(1, 2**70)),
+        )
+    )
+    return SolutionRecord(
+        seed=seed,
+        uv=draw(st.tuples(big, big)),
+        raw=draw(quads),
+        reduced=draw(quads),
+        content=draw(st.integers(1, 2**80)),
+        ratio=ratio,
+        taxicab=draw(st.one_of(st.none(), st.integers(1, 2**200))),
+    )
+
+
+@given(st.lists(records(), max_size=4))
+def test_record_lines_match_json_dumps(recs):
+    lines = encode(recs).splitlines(keepends=True)
+    assert lines == [json.dumps(reference_obj(r), separators=(",", ":")) + "\n" for r in recs]
+
+
+def test_record_line_with_non_unit_ratio_and_null_taxicab():
+    seed = CubicQuadruple(8, 1, 6, 9)
+    assert fraction_ratio(seed) == Fraction(7, 4)
+    record = next(r for r in run_search(config([seed.as_tuple])) if r.taxicab is None)
+    assert record_obj(record) == reference_obj(record)
+    assert '"ratio":{"num":"7","den":"4"},"taxicab":null}\n' in encode([record])
+
+
+# --- verification ---------------------------------------------------------------------
+
+
+def test_verify_refuses_a_record_with_a_zero_entry():
+    record = SolutionRecord(
+        seed=CubicQuadruple(1, 6, 8, 9),
+        uv=(0, 0),
+        raw=(2, -2, 0, 0),
+        reduced=(-1, 0, 1, 0),
+        content=2,
+        ratio=Fraction(3),
+        taxicab=None,
+    )
+    with pytest.raises(ValueError, match="zero entry"):
+        verify_record(record)
+    line = encode([record])
+    items = list(scan_records([line]))
+    assert len(items) == 1 and isinstance(items[0][1], ValueError)
+
+
+def two_seed_lines():
+    first = list(run_search(config([(1, 6, 8, 9)], u=(1, 2), v=(1, 2))))
+    second = list(run_search(config([(8, 1, 6, 9)], u=(1, 2), v=(1, 2))))
+    return [encode([r]) for r in first], [encode([r]) for r in second]
+
+
+def test_scan_records_alternating_seeds_verify():
+    a, b = two_seed_lines()
+    lines = [x for pair in zip(a, b) for x in pair] + a
+    items = list(scan_records(lines))
+    assert len(items) == len(lines)
+    assert all(isinstance(item, SolutionRecord) for _, item in items)
+    seeds_read = [item.seed.as_tuple for _, item in items]
+    assert seeds_read[:2] == [(1, 6, 8, 9), (8, 1, 6, 9)]
+    assert [item.ratio for _, item in items[:2]] == [3, Fraction(7, 4)]
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        ["1", "6", "8", "10"],  # fails the cubic equation
+        ["1", "6", "8"],
+        ["1", "6", "8", "9.0"],
+        [1.0, 6, 8, 9],  # equal to 1 as a number, but not an integer
+        [True, 6, 8, 9],
+        "1,6,8,9",
+    ],
+)
+def test_scan_records_bad_seed_after_good_lines_fails_on_its_own_line(seed):
+    a, _ = two_seed_lines()
+    good = a[0]
+    numeric = json.dumps({**json.loads(good), "seed": [1, 6, 8, 9]}) + "\n"
+    bad = json.dumps({**json.loads(good), "seed": seed}) + "\n"
+    items = list(scan_records([good, numeric, bad, good, numeric]))
+    kinds = [isinstance(item, Exception) for _, item in items]
+    assert kinds == [False, False, True, False, False]
+    assert "seed" in str(items[2][1])
+
+
+def test_scan_records_wrong_ratio_under_a_cached_seed_fails():
+    a, _ = two_seed_lines()
+    obj = json.loads(a[0])
+    lines = [
+        a[0],
+        json.dumps({**obj, "ratio": {"num": "4", "den": "1"}}) + "\n",
+        json.dumps({**obj, "ratio": {"num": "6", "den": "2"}}) + "\n",  # 3, not in lowest terms
+        a[1],
+    ]
+    items = list(scan_records(lines))
+    assert [isinstance(item, Exception) for _, item in items] == [False, True, False, False]
+    assert "ratio" in str(items[1][1])
+    assert items[2][1].ratio == 3
