@@ -193,7 +193,13 @@ def cmd_relation(args) -> tuple[int, str]:
     return OK, _emit(out)
 
 
+_QUAD_ARITY = {"piezas": 4, "quadruple": 1, "triple": 2, "equal-sums": 1}
+
+
 def cmd_quad(args) -> tuple[int, str]:
+    arity = _QUAD_ARITY[args.construction]
+    if len(args.values) != arity:
+        raise ValueError(f"quad {args.construction} takes {arity} integer argument(s)")
     if args.construction in ("piezas", "equal-sums") and args.eval_at is not None:
         raise ValueError("--eval applies to quadruple and triple constructions")
     if args.construction != "piezas" and args.degenerate is not None:
@@ -334,19 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_QUAD_ARITY = {"piezas": 4, "quadruple": 1, "triple": 2, "equal-sums": 1}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "quad":
-            expected = _QUAD_ARITY[args.construction]
-            if len(args.values) != expected:
-                raise ValueError(
-                    f"quad {args.construction} takes {expected} integer argument(s)"
-                )
         code, text = args.handler(args)
         if text:
             print(text)

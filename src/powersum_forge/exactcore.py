@@ -58,21 +58,24 @@ def bernoulli(k: int) -> Fraction:
     return _BERNOULLI[k]
 
 
-#: The JSON types an integer may arrive as; ``bool`` and ``float`` are not among them.
-_JSON_INT_TYPES = frozenset((int, str))
+#: The bytes of a decimal string: an optional sign and ASCII digits.  A
+#: non-ASCII character encodes to UTF-8 bytes outside this set, and
+#: ``bytes.translate`` deletes these at C speed however long the string.
+_DECIMAL_BYTES = b"+-0123456789"
 
 
 def json_int(value, field: str) -> int:
-    """An integer given as a JSON number or a decimal string.
-
-    Floats and booleans are refused, never truncated; a bad value raises
-    ValueError naming ``field``.
+    """An integer given as a JSON number or a decimal string: an
+    optional sign and ASCII digits, so ``"1_000"`` and ``" 7 "`` are
+    refused.  Floats and booleans are refused, never truncated; a bad
+    value raises ValueError naming ``field``.
     """
-    if type(value) in _JSON_INT_TYPES:
-        try:
+    kind = type(value)  # exact: ``bool`` is a subclass of ``int``
+    try:
+        if kind is int or (kind is str and not value.encode().translate(None, _DECIMAL_BYTES)):
             return int(value)
-        except ValueError:
-            pass
+    except ValueError:  # a misplaced sign, no digit, or a lone surrogate
+        pass
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
@@ -80,13 +83,13 @@ def json_ints(values, field: str, length: int) -> tuple[int, ...]:
     """A JSON list of exactly ``length`` integers, each read as by :func:`json_int`.
 
     A bad entry raises ValueError naming ``field[i]``.  Well-formed
-    lists are checked and converted without a Python call per entry.
+    lists of strings are checked without a Python call per entry.
     """
     if not isinstance(values, (list, tuple)) or len(values) != length:
         raise ValueError(f"field {field!r} must be a list of {length} integers, got {values!r}")
-    if _JSON_INT_TYPES.issuperset(map(type, values)):
-        try:
+    try:
+        if not "".join(values).encode().translate(None, _DECIMAL_BYTES):
             return tuple(map(int, values))
-        except ValueError:
-            pass
+    except (TypeError, ValueError):  # not all strings, or not all decimal
+        pass
     return tuple(json_int(x, f"{field}[{i}]") for i, x in enumerate(values))

@@ -12,11 +12,8 @@ differs.
 
 The closed forms ``product``, ``square``, ``s1_power`` and
 ``s2_s1_power`` rewrite products and powers of power sums as linear
-combinations of single power sums.  They reproduce the true product for
-exponents >= 1; at exponent 0 the product/square formulas still return a
-well-defined combination, but it no longer equals ``S_0 * S_m`` (callers
-that need the genuine product must stay at exponents >= 1, which is all
-the identity builders ever use).
+combinations of single power sums, exactly, for every exponent they
+accept (``product`` and ``square`` take exponents >= 1 only).
 """
 
 from __future__ import annotations
@@ -113,11 +110,11 @@ def faulhaber(k: int) -> Polynomial:
 def product(k: int, m: int) -> PowerSumCombo:
     """``S_k * S_m`` written as a linear combination of power sums.
 
-    Symmetric in (k, m).  Equals the true product for k, m >= 1; see the
-    module docstring for the exponent-0 caveat.
+    Symmetric in (k, m), which must both be >= 1: the formula does not
+    give ``S_0 * S_m``, so exponent 0 raises ValueError.
     """
-    _check_exponent(k)
-    _check_exponent(m)
+    if k < 1 or m < 1:
+        raise ValueError("product of power sums requires exponents >= 1")
     # The two sums share exponents; the constructor adds repeated ones.
     return PowerSumCombo(
         (k + m + 1 - 2 * j, Fraction(math.comb(top + 1, 2 * j), top + 1) * bernoulli(2 * j))

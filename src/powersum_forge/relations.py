@@ -82,17 +82,15 @@ RelationMode = Union[QMode, FMode]
 def parse_mode(token: str) -> RelationMode:
     """Parse ``"Q:k,m"`` or ``"F:k"`` into a mode object."""
     kind, sep, rest = token.partition(":")
+    if kind not in ("Q", "F") or not sep:
+        raise ValueError(f"unknown relation mode {token!r} (expected Q:k,m or F:k)")
     try:
-        if kind == "Q" and sep:
-            k_str, m_str = rest.split(",")
-            return QMode(int(k_str), int(m_str))
-        if kind == "F" and sep:
-            return FMode(int(rest))
-    except ValueError as exc:
-        if "mode requires" in str(exc):
-            raise
-        raise ValueError(f"malformed relation mode {token!r}") from None
-    raise ValueError(f"unknown relation mode {token!r} (expected Q:k,m or F:k)")
+        args = [int(x) for x in rest.split(",")]
+    except ValueError:
+        args = []
+    if len(args) != (2 if kind == "Q" else 1):
+        raise ValueError(f"malformed relation mode {token!r}")
+    return QMode(*args) if kind == "Q" else FMode(*args)
 
 
 def build_Q(form: BinaryQuadraticForm, k: int, m: int) -> PowerSumCombo:

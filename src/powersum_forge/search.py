@@ -9,9 +9,9 @@ sum of two positive cubes in two distinct ways).
 
 Evaluation order is fixed: seeds in configuration order, then mode,
 then u ascending, then v ascending.  The search runs on one thread and
-evaluates lazily, one point at a time, so memory stays bounded however
-large the grid; the ``threads`` argument is accepted for compatibility
-and changes nothing, so every run emits byte-identical records.
+evaluates lazily, one point at a time; with ``dedupe`` off its memory
+stays bounded however large the grid.  The ``threads`` argument changes
+nothing, so every run emits byte-identical records.
 
 Cubic mode evaluates the reduced family with a row kernel: for each
 ``u`` it folds ``alpha*u^2`` and ``beta*u`` of every form into two
@@ -21,8 +21,8 @@ One canonicalizer, :func:`canonicalize`, serves both the search and
 :func:`verify_record`.  One record-line encoder, a single ``%``-format
 template in :func:`write_records`, writes every record, to a file or to
 stdout; :func:`scan_records` reads those lines back and re-verifies
-each one, building a seed's :class:`CubicQuadruple` and ratio only when
-the seed differs from the line before.
+each one, taking a seed's :class:`CubicQuadruple` and ratio from one
+small cache keyed on its integers, :func:`_seed_state`.
 
 Relation modes (``Q:k,m`` / ``F:k``) evaluate the expanded univariate
 identity at each integer ``u`` in ``u_range``; the record stores
@@ -32,6 +32,7 @@ not a whole number raises RuntimeError instead of being truncated.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -46,7 +47,7 @@ from .cubic import (
     fraction_ratio,
     sandor_generate,
 )
-from .exactcore import _JSON_INT_TYPES, json_int, json_ints
+from .exactcore import json_int, json_ints
 from .relations import FMode, QMode, RelationMode, build_relation, expand_relation, parse_mode
 
 __all__ = [
@@ -140,17 +141,14 @@ class SolutionRecord:
     taxicab: int | None
 
     @classmethod
-    def from_json(
-        cls, obj: dict, known: tuple[CubicQuadruple, Fraction] | None = None
-    ) -> "SolutionRecord":
+    def from_json(cls, obj: dict) -> "SolutionRecord":
         """A record from its JSON object; a field that is not a whole
         number (or a list of them) raises ValueError naming it.
 
-        ``known`` is the validated seed of ``obj["seed"]`` with its
-        ratio, when the caller already has them; the record shares that
-        ratio object when its own ``ratio`` matches it term for term.
+        The record shares the ratio object of :func:`_seed_state` when
+        its own ``ratio`` matches it term for term.
         """
-        seed, ratio = _read_seed(obj["seed"]) if known is None else known
+        seed, ratio = _seed_state(json_ints(obj["seed"], "seed", 4))
         num = json_int(obj["ratio"]["num"], "ratio.num")
         den = json_int(obj["ratio"]["den"], "ratio.den")
         if num != ratio.numerator or den != ratio.denominator:
@@ -167,9 +165,11 @@ class SolutionRecord:
         )
 
 
-def _read_seed(raw) -> tuple[CubicQuadruple, Fraction]:
-    """A record's ``seed`` field, validated, and its ratio."""
-    seed = CubicQuadruple(*json_ints(raw, "seed", 4))
+@functools.lru_cache(maxsize=16)
+def _seed_state(values: IntQuad) -> tuple[CubicQuadruple, Fraction]:
+    """The seed of four integers (validated by :func:`json_ints`, so
+    ``1.0`` or ``true`` never reach the key) and its ratio."""
+    seed = CubicQuadruple(*values)
     return seed, fraction_ratio(seed)
 
 
@@ -190,8 +190,10 @@ def verify_record(record: SolutionRecord) -> None:
             f"raw tuple {record.raw} canonicalizes to {reduced} content {content}, "
             f"record says {record.reduced} content {record.content}"
         )
-    if fraction_ratio(record.seed) != record.ratio:
-        raise ValueError(f"seed {record.seed.as_tuple} has ratio {fraction_ratio(record.seed)}")
+    ratio = _seed_state(record.seed.as_tuple)[1]
+    # A record read by from_json shares this ratio object when they agree.
+    if record.ratio is not ratio and record.ratio != ratio:
+        raise ValueError(f"seed {record.seed.as_tuple} has ratio {ratio}")
     if detect_taxicab(record.reduced) != record.taxicab:
         raise ValueError(f"taxicab tag mismatch for {record.reduced}")
 
@@ -315,7 +317,8 @@ def run_search(
     Tuples containing a zero entry (including the all-zero tuple at
     (0, 0)) are skipped and counted in ``stats.degenerate``.  With
     ``dedupe`` enabled, only the first occurrence of each canonical
-    quadruple is emitted.  The guardrail on total lattice points is
+    quadruple is emitted, so every distinct one is held in memory until
+    the run ends.  The guardrail on total lattice points is
     checked eagerly, before any evaluation.  ``threads`` is accepted for
     compatibility and ignored: the search is single-threaded.
     """
@@ -425,10 +428,6 @@ def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | E
     that fails to decode or verify yields its exception in place of the
     record, and scanning goes on.  Only one line is held in memory at a time.
     """
-    # One-entry cache: the last seed's JSON list, and its validated
-    # CubicQuadruple and ratio.  Equal lists of JSON integers (ints and
-    # strings only, so 1.0 and true never match 1) read the same.
-    seed_json = known = None
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -436,11 +435,7 @@ def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | E
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("not a JSON object")
-            raw_seed = obj["seed"]
-            if raw_seed != seed_json or not _JSON_INT_TYPES.issuperset(map(type, raw_seed)):
-                known = _read_seed(raw_seed)
-                seed_json = raw_seed
-            record = SolutionRecord.from_json(obj, known)
+            record = SolutionRecord.from_json(obj)
             verify_record(record)
         except (ArithmeticError, IndexError, KeyError, TypeError, ValueError) as exc:
             yield lineno, exc

@@ -71,6 +71,13 @@ def test_combo_arity_error(capsys):
     assert "argument" in err
 
 
+@pytest.mark.parametrize("argv", [["product", "0", "0"], ["product", "0", "3"], ["square", "0"]])
+def test_combo_exponent_zero_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "combo", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: product of power sums requires exponents >= 1"
+
+
 def test_sandor_reduce_json(capsys):
     obj = run_json(capsys, "sandor", "1", "6", "8", "9", "--reduce")
     assert obj["content"] == "3"
@@ -253,6 +260,21 @@ def test_quad_arity_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["piezas", "2", "3", "6"], "quad piezas takes 4 integer argument(s)"),
+        (["quadruple", "2", "3"], "quad quadruple takes 1 integer argument(s)"),
+        (["triple", "1", "3", "5"], "quad triple takes 2 integer argument(s)"),
+        (["equal-sums", "1", "2", "--eval", "3"], "quad equal-sums takes 1 integer argument(s)"),
+    ],
+)
+def test_quad_arity_error_names_the_construction(capsys, argv, message):
+    code, out, err = run(capsys, "quad", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}"
+
+
 def test_usage_error_unknown_command(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -344,6 +366,23 @@ def test_verify_jsonl_reports_bad_lines(capsys, tmp_path):
     assert report["records"] == 4
     assert [f.split(":")[0] for f in report["failures"]] == ["line 1", "line 3", "line 4"]
     assert "uv[0]" in report["failures"][2]
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("content", "0_1"), ("reduced", [" -10 ", "1", "12", "9"]), ("uv", ["\u0661", "2"])],
+)
+def test_verify_jsonl_refuses_integer_strings_int_would_trim(capsys, tmp_path, key, value):
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [1, 1], "v_range": [2, 2]}
+    _, good, _ = run(capsys, "search", "--config", write_config(tmp_path, cfg))
+    path = tmp_path / "loose.jsonl"
+    path.write_text(json.dumps({**json.loads(good), key: value}) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["records"] == 1
+    assert len(report["failures"]) == 1 and report["failures"][0].startswith("line 1:")
+    assert key in report["failures"][0]
 
 
 def test_verify_jsonl_refuses_a_record_with_a_zero_entry(capsys, tmp_path):

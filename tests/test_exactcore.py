@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powersum_forge.exactcore import bernoulli
+from powersum_forge.exactcore import bernoulli, json_int, json_ints
 
 
 @pytest.mark.parametrize(
@@ -118,3 +118,31 @@ def test_rational_always_reduced(a, b):
 def test_binomial_row_sums():
     for n in range(0, 25):
         assert sum(comb(n, k) for k in range(n + 1)) == 2**n
+
+
+# --- integers read from JSON ---------------------------------------------
+
+
+@pytest.mark.parametrize("text,value", [("0", 0), ("-12", -12), ("+7", 7), ("007", 7)])
+def test_json_int_reads_decimal_strings(text, value):
+    assert json_int(text, "x") == value
+    assert json_ints([text, "1", str(-(10**40)), "2"], "xs", 4) == (value, 1, -(10**40), 2)
+
+
+@pytest.mark.parametrize(
+    # "\u0661\u0662" is 12 in Arabic-Indic digits, which int() would read.
+    "value", ["1_000", " 7 ", "\u0661\u0662", "\t9\n", "", "-", "1-2", "+-3", "\ud800", 1.0, True, None]
+)
+def test_json_int_refuses_what_is_not_a_decimal_string(value):
+    with pytest.raises(ValueError, match="x must be an integer"):
+        json_int(value, "x")
+    with pytest.raises(ValueError, match=r"xs\[2\]"):
+        json_ints(["1", "2", value, "4"], "xs", 4)
+    with pytest.raises(ValueError, match=r"xs\[1\]"):
+        json_ints([1, value], "xs", 2)
+
+
+def test_json_ints_mixes_numbers_and_strings():
+    assert json_ints([1, "-2", 3, "4"], "xs", 4) == (1, -2, 3, 4)
+    with pytest.raises(ValueError, match="list of 4 integers"):
+        json_ints(["1", "2", "3"], "xs", 4)

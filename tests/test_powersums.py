@@ -77,10 +77,19 @@ def test_product_examples():
 
 
 def test_product_symmetry_and_square_consistency():
-    for k in range(0, 9):
+    for k in range(1, 9):
         assert product(k, k) == square(k)
-        for m in range(0, 9):
+        for m in range(1, 9):
             assert product(k, m) == product(m, k)
+
+
+@pytest.mark.parametrize("k,m", [(0, 0), (0, 3), (3, 0), (-1, 2)])
+def test_product_refuses_exponents_below_one(k, m):
+    # The closed form gives n^2 + ... at exponent 0, not S_0 * S_m = n * S_m.
+    with pytest.raises(ValueError, match="exponents >= 1"):
+        product(k, m)
+    with pytest.raises(ValueError, match="exponents >= 1"):
+        square(min(k, m))
 
 
 def test_square_examples():
@@ -118,9 +127,9 @@ def test_numeric_oracle_for_all_ops():
 
 def test_exponent_parity():
     for k in range(0, 9):
-        assert all(e % 2 == 1 for e in square(k).exponents)
         assert all(e % 2 == 0 for e in s2_s1_power(k).exponents)
     for k in range(1, 9):
+        assert all(e % 2 == 1 for e in square(k).exponents)
         assert all(e % 2 == 1 for e in s1_power(k).exponents)
 
 

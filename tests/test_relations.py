@@ -60,6 +60,27 @@ def test_parse_mode():
         parse_mode("Q:0,2")
 
 
+@pytest.mark.parametrize(
+    "token,message",
+    [
+        ("X:1", "unknown relation mode 'X:1' (expected Q:k,m or F:k)"),
+        ("Q", "unknown relation mode 'Q' (expected Q:k,m or F:k)"),
+        ("cubic", "unknown relation mode 'cubic' (expected Q:k,m or F:k)"),
+        ("Q:1", "malformed relation mode 'Q:1'"),
+        ("Q:1,2,3", "malformed relation mode 'Q:1,2,3'"),
+        ("Q:a,b", "malformed relation mode 'Q:a,b'"),
+        ("F:", "malformed relation mode 'F:'"),
+        ("F:1,2", "malformed relation mode 'F:1,2'"),
+        ("Q:0,2", "Q mode requires k >= 1 and m >= 1"),
+        ("F:0", "F mode requires k >= 1"),
+    ],
+)
+def test_parse_mode_errors(token, message):
+    with pytest.raises(ValueError) as err:
+        parse_mode(token)
+    assert str(err.value) == message
+
+
 def test_mode_labels():
     assert QMode(1, 2).label == "Q:1,2"
     assert FMode(3).label == "F:3"

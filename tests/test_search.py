@@ -696,3 +696,27 @@ def test_scan_records_wrong_ratio_under_a_cached_seed_fails():
     assert [isinstance(item, Exception) for _, item in items] == [False, True, False, False]
     assert "ratio" in str(items[1][1])
     assert items[2][1].ratio == 3
+
+
+def test_scan_records_many_distinct_seeds_verify_within_the_seed_cache():
+    base = CubicQuadruple(1, 6, 8, 9)
+    lines = [
+        encode(run_search(config([base.scaled(t).as_tuple], u=(1, 1), v=(2, 2))))
+        for t in range(1, 41)
+    ]
+    items = list(scan_records(lines + lines[::-1]))
+    assert len(items) == 80
+    assert all(isinstance(item, SolutionRecord) for _, item in items)
+    assert [item.seed for _, item in items[:40]] == [base.scaled(t) for t in range(1, 41)]
+    info = search._seed_state.cache_info()
+    assert 0 < info.currsize <= info.maxsize < 40
+
+
+def test_load_records_of_a_file_alternating_two_seeds(tmp_path):
+    a, b = two_seed_lines()
+    path = tmp_path / "alternating.jsonl"
+    path.write_text("".join(x for pair in zip(a, b) for x in pair), encoding="utf-8")
+    loaded = load_records(path)
+    assert [r.seed.as_tuple for r in loaded] == [(1, 6, 8, 9), (8, 1, 6, 9)] * len(a)
+    assert [r.ratio for r in loaded[:2]] == [3, Fraction(7, 4)]
+    assert all(r.ratio is loaded[0].ratio for r in loaded[::2])
