@@ -26,7 +26,7 @@ from .cubic import (
     substitute,
     verify_cubic_identity,
 )
-from .exactcore import bernoulli
+from .exactcore import bernoulli, json_int
 from .powersums import extract_common_factor, faulhaber, product, s1_power, s2_s1_power, square
 from .quadratic import (
     PythagoreanQuadruple,
@@ -51,11 +51,13 @@ def _emit(obj: dict) -> str:
 
 
 def _parse_csv_ints(text: str, count: int, what: str) -> tuple[int, ...]:
+    """``count`` comma-separated integers, whitespace around each ignored;
+    each is an optional sign and ASCII digits, as :func:`json_int` reads it."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
         raise ValueError(f"{what} needs {count} comma-separated integers, got {text!r}")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(json_int(p, what) for p in parts)
     except ValueError:
         raise ValueError(f"{what} needs integers, got {text!r}") from None
 
@@ -127,13 +129,13 @@ def _form_document(fh) -> dict | None:
     first = next((line for line in fh if line.strip()), "")
     try:
         obj = json.loads(first)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deeply
         obj = None
         second = fh.readline()
         if not second.startswith("{"):
             try:
                 obj = json.loads(first + second + fh.read())
-            except ValueError:
+            except (ValueError, RecursionError):
                 pass
     fh.seek(0)
     return obj if isinstance(obj, dict) and "q" in obj else None

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 from .cubic import BinaryQuadraticForm, FormQuadruple, verify_cubic_identity
+from .exactcore import json_int
 from .polynomials import Polynomial, _strip_forced_roots, joint_content, powers_telescope
 from .powersums import PowerSumCombo, extract_common_factor, product, s1_power, s2_s1_power, square
 
@@ -80,12 +81,17 @@ RelationMode = Union[QMode, FMode]
 
 
 def parse_mode(token: str) -> RelationMode:
-    """Parse ``"Q:k,m"`` or ``"F:k"`` into a mode object."""
+    """Parse ``"Q:k,m"`` or ``"F:k"`` into a mode object.
+
+    Each of ``k`` and ``m`` is an optional sign and ASCII digits, read as
+    :func:`exactcore.json_int` reads a decimal string: ``"Q:1_0,2"``,
+    ``"Q: 1,2"`` and non-ASCII digits are malformed.
+    """
     kind, sep, rest = token.partition(":")
     if kind not in ("Q", "F") or not sep:
         raise ValueError(f"unknown relation mode {token!r} (expected Q:k,m or F:k)")
     try:
-        args = [int(x) for x in rest.split(",")]
+        args = [json_int(x, "mode") for x in rest.split(",")]
     except ValueError:
         args = []
     if len(args) != (2 if kind == "Q" else 1):

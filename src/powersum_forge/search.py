@@ -22,7 +22,11 @@ One canonicalizer, :func:`canonicalize`, serves both the search and
 template in :func:`write_records`, writes every record, to a file or to
 stdout; :func:`scan_records` reads those lines back and re-verifies
 each one, taking a seed's :class:`CubicQuadruple` and ratio from one
-small cache keyed on its integers, :func:`_seed_state`.
+small cache keyed on its integers, :func:`_seed_state`.  A line in the
+template's exact form is read by one regular expression derived from
+that template; any other line is read by ``json.loads`` and
+:meth:`SolutionRecord.from_json`, which alone word the errors, and
+every record, read either way, goes through :func:`verify_record`.
 
 Relation modes (``Q:k,m`` / ``F:k``) evaluate the expanded univariate
 identity at each integer ``u`` in ``u_range``; the record stores
@@ -36,6 +40,7 @@ import functools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -262,7 +267,11 @@ class SearchConfig:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot read search config {path}: {exc}") from exc
-        return cls.from_dict(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"search config {path} nests too deeply to read") from None
+        return cls.from_dict(obj)
 
 
 def _config_field(obj: dict, name: str, parse):
@@ -400,6 +409,19 @@ _RECORD_LINE = (
 )
 
 
+#: The reading side of ``_RECORD_LINE``: each ``%d`` becomes a group of
+#: an optional minus and ASCII digits, and the taxicab ``%s`` is ``null``
+#: or such a group in quotes.  Nothing else may differ, not even
+#: whitespace, so every line it matches is a line ``json.loads`` reads
+#: as the same record.  It is compiled by :func:`scan_records`, not at import.
+_RECORD_PATTERN = (
+    re.escape(_RECORD_LINE[:-1])
+    .replace("%d", "(-?[0-9]+)")
+    .replace("%s", '(?:null|"(-?[0-9]+)")')
+    + r"\n?\Z"
+)
+
+
 def write_records(records: Iterable[SolutionRecord], destination: str | Path | IO[str]) -> int:
     """Write records as JSON lines; returns the number written."""
     if isinstance(destination, (str, Path)):
@@ -427,20 +449,46 @@ def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | E
     Yields ``(line_number, record)`` for every non-blank line; a line
     that fails to decode or verify yields its exception in place of the
     record, and scanning goes on.  Only one line is held in memory at a time.
+
+    A line exactly as :func:`write_records` writes it is decoded by
+    ``_RECORD_PATTERN``; every other line, and one whose fields the
+    pattern's decoder cannot convert, goes through ``json.loads`` and
+    :meth:`SolutionRecord.from_json`.
     """
+    match = re.compile(_RECORD_PATTERN).match  # cached by re after the first call
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        template = match(line)
+        if template is None and not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("not a JSON object")
-            record = SolutionRecord.from_json(obj)
+            record = None
+            if template is not None:
+                try:
+                    record = _record_from_groups(template.groups())
+                except (ArithmeticError, ValueError):
+                    pass  # reported by from_json below, in its own words
+            if record is None:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("not a JSON object")
+                record = SolutionRecord.from_json(obj)
             verify_record(record)
-        except (ArithmeticError, IndexError, KeyError, TypeError, ValueError) as exc:
+        except (ArithmeticError, IndexError, KeyError, TypeError, ValueError, RecursionError) as exc:
             yield lineno, exc
         else:
             yield lineno, record
+
+
+def _record_from_groups(groups: tuple[str | None, ...]) -> SolutionRecord:
+    """The record of one ``_RECORD_PATTERN`` match, as :meth:`SolutionRecord.from_json`
+    would build it from the same line.  Raises ValueError for a field over
+    ``int``'s digit limit, and as :func:`_seed_state` or ``Fraction`` do."""
+    ints = tuple(map(int, groups if groups[17] is not None else groups[:17]))
+    seed, ratio = _seed_state(ints[:4])
+    if ints[15] != ratio.numerator or ints[16] != ratio.denominator:
+        ratio = Fraction(ints[15], ints[16])
+    taxicab = ints[17] if len(ints) > 17 else None
+    return SolutionRecord(seed, ints[4:6], ints[6:10], ints[10:14], ints[14], ratio, taxicab)
 
 
 def load_records(path: str | Path) -> list[SolutionRecord]:

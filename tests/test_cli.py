@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 import powersum_forge
 from powersum_forge.cli import main
+from powersum_forge.cubic import CubicQuadruple
+from powersum_forge.search import SearchConfig, run_search, write_records
 
 from goldens import EQ6_LATEX, EQ19_LATEX, EQ24_QUARTICS, TABLE1, squash
 
@@ -129,6 +133,24 @@ def test_relation_expand_factor(capsys):
 def test_relation_bad_mode(capsys):
     code, _, err = run(capsys, "relation", "--seed", "1,6,8,9", "--mode", "Z:9")
     assert code == 2
+
+
+@pytest.mark.parametrize("seed", ["\u0661,6,8,9", "1,6,8,9\u0669", "1_0,6,8,9", "1,6,8,9.0"])
+def test_relation_seed_needs_ascii_integers(capsys, seed):
+    code, out, err = run(capsys, "relation", "--seed", seed, "--mode", "Q:1,2")
+    assert code == 2 and out == ""
+    assert err == f"error: --seed needs integers, got {seed!r}"
+
+
+def test_relation_seed_allows_spaces_around_commas(capsys):
+    obj = run_json(capsys, "relation", "--seed", " 1, 6 ,8,+9", "--mode", "Q:1,2")
+    assert obj["common_factor"] == {"num": "1", "den": "6"}
+
+
+def test_relation_mode_with_a_non_ascii_digit_is_usage_error(capsys):
+    code, _, err = run(capsys, "relation", "--seed", "1,6,8,9", "--mode", "F:\u0663")
+    assert code == 2
+    assert err == "error: malformed relation mode 'F:\u0663'"
 
 
 def test_verify_roundtrip(capsys, tmp_path):
@@ -430,6 +452,40 @@ def test_verify_malformed_form_file_is_usage_error(capsys, tmp_path, obj, field)
     assert err.startswith("error:") and field in err
 
 
+# deeper than any recursion limit, so json.loads raises RecursionError
+DEEP = "[" * 200_000
+
+
+def test_verify_deeply_nested_line_fails_on_its_line(capsys, tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text(DEEP + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["records"] == 1 and report["verified"] is False
+    assert report["failures"][0].startswith("line 1: maximum recursion depth exceeded")
+
+
+def test_verify_deeply_nested_line_after_a_good_record(capsys, tmp_path):
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [1, 1], "v_range": [2, 2]}
+    _, good, _ = run(capsys, "search", "--config", write_config(tmp_path, cfg))
+    path = tmp_path / "deep.jsonl"
+    path.write_text(f"{good}\n{DEEP}\n{good}\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["records"] == 3 and len(report["failures"]) == 1
+    assert report["failures"][0].startswith("line 2: maximum recursion depth exceeded")
+
+
+def test_search_deeply_nested_config_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(DEEP, encoding="utf-8")
+    code, out, err = run(capsys, "search", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: search config {path} nests too deeply to read"
+
+
 @pytest.mark.parametrize("output", [5, ["out.jsonl"], True])
 def test_search_non_string_output_is_usage_error(capsys, tmp_path, output):
     cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [1, 1], "v_range": [2, 2], "output": output}
@@ -523,3 +579,83 @@ def test_fuzz_search_configs(tmp_path_factory, cfg):
     path = directory / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert run_quietly("search", "--config", str(path)) in (0, 1, 2)
+
+
+# --- the verify report of a file mixing good and bad record lines ---------------
+
+
+def mixed_jsonl() -> str:
+    """Good record lines interleaved with one line of every kind ``verify`` must
+    refuse, and lines in other JSON spellings of a good record."""
+    cfg = SearchConfig(
+        seeds=(CubicQuadruple(1, 6, 8, 9), CubicQuadruple(8, 1, 6, 9)),
+        u_range=(-2, 2),
+        v_range=(-2, 2),
+    )
+    buf = io.StringIO()
+    write_records(run_search(cfg), buf)
+    good = buf.getvalue().splitlines()
+    obj = json.loads(good[0])
+    other = next(json.loads(line) for line in good if json.loads(line)["seed"][0] == "8")
+    tagged = next(json.loads(line) for line in good if json.loads(line)["taxicab"])
+
+    def line(**fields):
+        return json.dumps({**obj, **fields}, separators=(",", ":"))
+
+    def numbers(o):
+        if isinstance(o, dict):
+            return {k: numbers(v) for k, v in o.items()}
+        if isinstance(o, list):
+            return [numbers(v) for v in o]
+        return o if o is None else int(o)
+
+    variants = [
+        json.dumps(obj),  # default separators
+        json.dumps(numbers(obj)),  # JSON numbers
+        json.dumps(dict(reversed(list(obj.items())))),  # other key order
+        line(seed=["+1", "6", "8", "9"]),
+        line(uv=["007", "-0"]),
+        line(content="٣"),  # an Arabic-Indic digit
+        good[1] + "\r",
+        good[1] + "\x0b",
+        good[1] + " ",
+        line(uv=["9" * 5000, "1"]),
+        line(ratio={"num": "3", "den": "0"}),
+        line(ratio={"num": "6", "den": "2"}),
+        line(ratio={"num": "4", "den": "1"}),
+        line(seed=["1", "6", "8", "10"]),
+        line(seed=["1", "6", "8"]),
+        line(seed=[1.0, 6, 8, 9]),
+        line(seed=[True, 6, 8, 9]),
+        line(uv=[1.5, 2]),
+        line(content="0_1"),
+        line(reduced=[" -10 ", "1", "12", "9"]),
+        line(raw=["2", "-2", "0", "0"]),
+        line(reduced=["1", "2", "3", "4"]),
+        line(content="2"),
+        line(taxicab="1729"),
+        json.dumps({**tagged, "taxicab": None}),
+        json.dumps({**tagged, "taxicab": int(tagged["taxicab"])}),
+        line(seed=["\\u0031", "6", "8", "9"]).replace("\\\\", "\\"),
+        json.dumps({k: v for k, v in obj.items() if k != "raw"}),
+        json.dumps(other),
+        "not json",
+        "[1]",
+        "",
+        "{}",
+        '{"seed":["1","6","8","9"]} trailing',
+    ]
+    lines = [x for pair in itertools.zip_longest(good, variants) for x in pair if x is not None]
+    return "\n".join(lines) + "\n"
+
+
+def test_verify_report_of_a_mixed_file_is_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("mixed.jsonl").write_text(mixed_jsonl(), encoding="utf-8")
+    code = main(["verify", "mixed.jsonl"])
+    out = capsys.readouterr().out
+    # recorded before record lines were decoded by a pattern
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2e5cf71ddd898170da240b1599477fea1b4e0b0114950421e358592a631f5fca"
+    )

@@ -60,6 +60,11 @@ def test_parse_mode():
         parse_mode("Q:0,2")
 
 
+def test_parse_mode_reads_a_sign_and_leading_zeros():
+    assert parse_mode("Q:+1,02") == QMode(1, 2)
+    assert parse_mode("F:007") == FMode(7)
+
+
 @pytest.mark.parametrize(
     "token,message",
     [
@@ -71,6 +76,11 @@ def test_parse_mode():
         ("Q:a,b", "malformed relation mode 'Q:a,b'"),
         ("F:", "malformed relation mode 'F:'"),
         ("F:1,2", "malformed relation mode 'F:1,2'"),
+        # an optional sign and ASCII digits only
+        ("Q: 1_0 ,2", "malformed relation mode 'Q: 1_0 ,2'"),
+        ("Q:1_0,2", "malformed relation mode 'Q:1_0,2'"),
+        ("Q:1, 2", "malformed relation mode 'Q:1, 2'"),
+        ("F:\u0663", "malformed relation mode 'F:\u0663'"),
         ("Q:0,2", "Q mode requires k >= 1 and m >= 1"),
         ("F:0", "F mode requires k >= 1"),
     ],

@@ -3,7 +3,12 @@ import io
 import itertools
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -720,3 +725,113 @@ def test_load_records_of_a_file_alternating_two_seeds(tmp_path):
     assert [r.seed.as_tuple for r in loaded] == [(1, 6, 8, 9), (8, 1, 6, 9)] * len(a)
     assert [r.ratio for r in loaded[:2]] == [3, Fraction(7, 4)]
     assert all(r.ratio is loaded[0].ratio for r in loaded[::2])
+
+
+# --- the template decoder against json.loads -------------------------------------
+
+
+def reference_scan(line: str):
+    """What ``json.loads``, ``from_json`` and ``verify_record`` make of one line."""
+    try:
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        record = SolutionRecord.from_json(obj)
+        verify_record(record)
+    except (ArithmeticError, IndexError, KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return record
+
+
+def scanned(line: str):
+    [(lineno, item)] = list(scan_records([line]))
+    assert lineno == 1
+    return (type(item), str(item)) if isinstance(item, Exception) else item
+
+
+INT_FIELDS = [
+    *(("seed", i) for i in range(4)),
+    *(("uv", i) for i in range(2)),
+    *(("raw", i) for i in range(4)),
+    *(("reduced", i) for i in range(4)),
+    ("content",),
+    ("ratio", "num"),
+    ("ratio", "den"),
+    ("taxicab",),
+]
+
+
+def with_field(obj: dict, path: tuple, value) -> dict:
+    obj = json.loads(json.dumps(obj))
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return obj
+
+
+def as_numbers(obj):
+    if isinstance(obj, dict):
+        return {k: as_numbers(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_numbers(v) for v in obj]
+    return obj if obj is None else int(obj)
+
+
+FOUND_RECORDS = list(run_search(config([(1, 6, 8, 9), (8, 1, 6, 9)], u=(-4, 4), v=(-4, 4))))
+
+field_spellings = st.sampled_from(["+3", "007", "-0", "0", "٣", "9" * 5000, "-" + "1" * 5000])
+
+
+@st.composite
+def line_variants(draw):
+    """A record's line as ``write_records`` writes it, or one variant of it."""
+    record = draw(st.one_of(records(), st.sampled_from(FOUND_RECORDS)))
+    line = encode([record])
+    obj = json.loads(line)
+    kind = draw(st.sampled_from(["line", "dumps", "numbers", "field", "den0", "tail"]))
+    if kind == "line":
+        return line
+    if kind == "dumps":
+        return json.dumps(obj)
+    if kind == "numbers":
+        return json.dumps(as_numbers(obj), separators=(",", ":"))
+    if kind == "field":
+        path = draw(st.sampled_from(INT_FIELDS))
+        obj = with_field(obj, path, draw(field_spellings))
+        return json.dumps(obj, separators=(",", ":")) + "\n"
+    if kind == "den0":
+        return json.dumps(with_field(obj, ("ratio", "den"), "0"), separators=(",", ":"))
+    return line[:-1] + draw(st.sampled_from(["\r\n", "\x0b", " ", "\n\n", " \n"]))
+
+
+@given(line_variants())
+def test_scan_records_matches_json_loads_on_record_lines(line):
+    assert scanned(line) == reference_scan(line)
+
+
+def test_record_pattern_matches_encoder_lines_only():
+    line = encode(FOUND_RECORDS[:1])
+    match = re.compile(search._RECORD_PATTERN).match
+    assert match(line) and match(line[:-1])
+    for other in (line[:-1] + "\r\n", line[:-1] + " ", line[:-1] + "\x0b", " " + line, line + "\n"):
+        assert match(other) is None
+
+
+def test_importing_the_package_compiles_no_pattern():
+    probe = (
+        "import re\n"
+        "compiled = []\n"
+        "original = re.compile\n"
+        "re.compile = lambda p, flags=0: compiled.append(p) or original(p, flags)\n"
+        "import powersum_forge.cli\n"
+        "from powersum_forge import search\n"
+        "assert search._RECORD_PATTERN not in compiled, 'compiled at import'\n"
+        "list(search.scan_records([]))\n"
+        "assert search._RECORD_PATTERN in compiled, 'not compiled by scan_records'\n"
+    )
+    src = str(Path(search.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
