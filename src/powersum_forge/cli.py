@@ -5,41 +5,26 @@ Subcommands mirror the library surface: ``bernoulli``, ``faulhaber``,
 ``search``.  Output is JSON by default; ``--latex`` switches to the
 display form where one exists.  Exit codes: 0 success, 1 verification
 failure or a reader that closed stdout early, 2 usage or input error.
+
+Each handler imports the modules it runs when it runs, so a call pays
+only for its own subcommand: ``relation`` never loads ``search`` or
+``quadratic``.  Every integer argument is read as :func:`json_int`
+reads a decimal string, an optional sign and ASCII digits.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import render
-from .cubic import (
-    CubicQuadruple,
-    check_characterization,
-    content_reduce,
-    sandor_generate,
-    substitute,
-    verify_cubic_identity,
-)
 from .exactcore import bernoulli, json_int
-from .powersums import extract_common_factor, faulhaber, product, s1_power, s2_s1_power, square
-from .quadratic import (
-    PythagoreanQuadruple,
-    SquareFormQuadruple,
-    equal_sums_family,
-    piezas_degenerate_triple,
-    piezas_generate,
-    powersum_quadruple,
-    powersum_triple,
-    verify_square_identity,
-)
-from .relations import build_relation, expand_relation, factor_common_root, parse_mode
-from .search import SearchConfig, SearchStats, run_search, scan_records, write_records
+
+if TYPE_CHECKING:
+    from .search import SearchStats
 
 OK = 0
 VERIFICATION_FAILED = 1
@@ -48,6 +33,11 @@ USAGE_ERROR = 2
 
 def _emit(obj: dict) -> str:
     return json.dumps(obj, indent=2)
+
+
+def integer(text: str) -> int:
+    """An integer argument; argparse reports a refusal as ``invalid integer value``."""
+    return json_int(text, "argument")
 
 
 def _parse_csv_ints(text: str, count: int, what: str) -> tuple[int, ...]:
@@ -70,6 +60,8 @@ def cmd_bernoulli(args) -> tuple[int, str]:
 
 
 def cmd_faulhaber(args) -> tuple[int, str]:
+    from .powersums import faulhaber
+
     poly = faulhaber(args.k)
     if args.latex:
         sub = str(args.k) if args.k < 10 else f"{{{args.k}}}"
@@ -77,29 +69,42 @@ def cmd_faulhaber(args) -> tuple[int, str]:
     return OK, _emit({"k": args.k, "polynomial": render.poly_to_json(poly)})
 
 
+#: Each combo op's arity and the :mod:`powersums` closed form it calls.
 _COMBO_OPS = {
-    "product": (2, lambda a: product(a[0], a[1])),
-    "square": (1, lambda a: square(a[0])),
-    "s1pow": (1, lambda a: s1_power(a[0])),
-    "s2s1pow": (1, lambda a: s2_s1_power(a[0])),
+    "product": (2, "product"),
+    "square": (1, "square"),
+    "s1pow": (1, "s1_power"),
+    "s2s1pow": (1, "s2_s1_power"),
 }
 
 
 def cmd_combo(args) -> tuple[int, str]:
-    arity, fn = _COMBO_OPS[args.op]
+    from . import powersums
+
+    arity, name = _COMBO_OPS[args.op]
     if len(args.args) != arity:
         raise ValueError(f"combo {args.op} takes {arity} integer argument(s)")
-    combo = fn(args.args)
+    combo = getattr(powersums, name)(*args.args)
     if args.latex:
         return OK, render.combo_to_latex(combo)
     return OK, _emit({"op": args.op, "args": args.args, "combo": render.combo_to_json(combo)})
 
 
 def _parse_matrix(text: str):
+    """Four comma-separated rationals, whitespace around each ignored.
+
+    Each is read by ``Fraction`` (``1/2``, ``-3``, ``0.5``), but an
+    underscore, inner whitespace or a non-ASCII character is refused,
+    where ``Fraction`` alone would read ``1_0`` as 10.
+    """
+    from fractions import Fraction
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError("substitution matrix needs 4 comma-separated entries m11,m12,m21,m22")
     try:
+        if not all(p.isascii() and "_" not in p and not any(map(str.isspace, p)) for p in parts):
+            raise ValueError
         m11, m12, m21, m22 = (Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad matrix entries {text!r}") from None
@@ -107,6 +112,8 @@ def _parse_matrix(text: str):
 
 
 def cmd_sandor(args) -> tuple[int, str]:
+    from .cubic import CubicQuadruple, content_reduce, sandor_generate, substitute
+
     seed = CubicQuadruple(args.a, args.b, args.c, args.d)
     fq = sandor_generate(seed)
     content = None
@@ -142,6 +149,8 @@ def _form_document(fh) -> dict | None:
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    from pathlib import Path
+
     path = Path(args.file)
     try:
         fh = path.open(encoding="utf-8")
@@ -150,6 +159,8 @@ def cmd_verify(args) -> tuple[int, str]:
     with fh:
         obj = _form_document(fh)
         if obj is None:
+            from .search import scan_records
+
             failures: list[str] = []
             count = 0
             for lineno, item in scan_records(fh):
@@ -161,20 +172,27 @@ def cmd_verify(args) -> tuple[int, str]:
                 {"file": str(path), "records": count, "verified": ok, "failures": failures}
             )
 
+    from .cubic import FormQuadruple, check_characterization, verify_cubic_identity
+
     fq = render.form_quadruple_from_json(obj)
-    if isinstance(fq, SquareFormQuadruple):
-        ok = verify_square_identity(fq)
-        detail = {"identity": "square", "verified": ok}
-    else:
+    if isinstance(fq, FormQuadruple):
         ok = verify_cubic_identity(fq)
         detail = {"identity": "cubic", "verified": ok}
         if ok and fq.seed is not None:
             detail["characterization"] = check_characterization(fq.seed, fq)
             ok = ok and detail["characterization"]
+    else:
+        from .quadratic import verify_square_identity
+
+        ok = verify_square_identity(fq)
+        detail = {"identity": "square", "verified": ok}
     return (OK if ok else VERIFICATION_FAILED), _emit({"file": str(path), **detail})
 
 
 def cmd_relation(args) -> tuple[int, str]:
+    from .cubic import CubicQuadruple, content_reduce, sandor_generate
+    from .relations import build_relation, expand_relation, factor_common_root, parse_mode
+
     seed = CubicQuadruple(*_parse_csv_ints(args.seed, 4, "--seed"))
     mode = parse_mode(args.mode)
     fq, _ = content_reduce(sandor_generate(seed))
@@ -199,6 +217,16 @@ _QUAD_ARITY = {"piezas": 4, "quadruple": 1, "triple": 2, "equal-sums": 1}
 
 
 def cmd_quad(args) -> tuple[int, str]:
+    from .powersums import extract_common_factor
+    from .quadratic import (
+        PythagoreanQuadruple,
+        equal_sums_family,
+        piezas_degenerate_triple,
+        piezas_generate,
+        powersum_quadruple,
+        powersum_triple,
+    )
+
     arity = _QUAD_ARITY[args.construction]
     if len(args.values) != arity:
         raise ValueError(f"quad {args.construction} takes {arity} integer argument(s)")
@@ -260,9 +288,11 @@ def cmd_quad(args) -> tuple[int, str]:
 
 
 def cmd_search(args) -> tuple[int, str]:
+    from .search import SearchConfig, SearchStats, run_search, write_records
+
     cfg = SearchConfig.from_file(args.config)
     if args.force:
-        cfg = dataclasses.replace(cfg, force=True)
+        cfg = cfg._replace(force=True)
     stats = SearchStats()
     records = run_search(cfg, stats=stats, threads=args.threads)
     if cfg.output:
@@ -294,23 +324,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", parents=[common], help="Bernoulli number B_k")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=integer)
     p.set_defaults(handler=cmd_bernoulli)
 
     p = sub.add_parser("faulhaber", parents=[common], help="S_k as a polynomial in n")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=integer)
     p.set_defaults(handler=cmd_faulhaber)
 
     p = sub.add_parser("combo", parents=[common], help="closed-form power-sum combination")
     p.add_argument("op", choices=sorted(_COMBO_OPS))
-    p.add_argument("args", type=int, nargs="+", help="exponent argument(s)")
+    p.add_argument("args", type=integer, nargs="+", help="exponent argument(s)")
     p.set_defaults(handler=cmd_combo)
 
     p = sub.add_parser("sandor", parents=[common], help="form quadruple from a cubic seed")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("d", type=int)
+    p.add_argument("a", type=integer)
+    p.add_argument("b", type=integer)
+    p.add_argument("c", type=integer)
+    p.add_argument("d", type=integer)
     p.add_argument("--reduce", action="store_true", help="divide out the joint content")
     p.add_argument("--subst", metavar="M11,M12,M21,M22", help="compose with a linear map")
     p.set_defaults(handler=cmd_sandor)
@@ -328,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quad", parents=[common], help="quadratic (square) constructions")
     p.add_argument("construction", choices=["piezas", "quadruple", "triple", "equal-sums"])
-    p.add_argument("values", type=int, nargs="+")
-    p.add_argument("--degenerate", type=int, metavar="E", help="piezas: collapse to a triple")
-    p.add_argument("--eval", dest="eval_at", type=int, metavar="N", help="also evaluate at n=N")
+    p.add_argument("values", type=integer, nargs="+")
+    p.add_argument("--degenerate", type=integer, metavar="E", help="piezas: collapse to a triple")
+    p.add_argument("--eval", dest="eval_at", type=integer, metavar="N", help="also evaluate at n=N")
     p.set_defaults(handler=cmd_quad)
 
     p = sub.add_parser("search", parents=[common], help="grid search over families")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=integer)
     p.add_argument("--force", action="store_true", help="override the lattice guardrail")
     p.set_defaults(handler=cmd_search)
 

@@ -12,9 +12,8 @@ so its coefficient of ``u^i v^(2e-i)`` is that of ``u^i`` at ``v = 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomials import Polynomial, powers_telescope
 
@@ -35,8 +34,7 @@ __all__ = [
 Matrix2 = Sequence[Sequence[Fraction | int]]
 
 
-@dataclass(frozen=True)
-class BinaryQuadraticForm:
+class BinaryQuadraticForm(NamedTuple):
     """``alpha*u^2 + beta*u*v + gamma*v^2`` with integer coefficients."""
 
     alpha: int
@@ -55,8 +53,14 @@ class BinaryQuadraticForm:
         return (self.alpha, self.beta, self.gamma)
 
 
-@dataclass(frozen=True)
-class CubicQuadruple:
+class _CubicFields(NamedTuple):
+    a: int
+    b: int
+    c: int
+    d: int
+
+
+class CubicQuadruple(_CubicFields):
     """Nontrivial integer solution of ``a^3 + b^3 + c^3 = d^3``.
 
     Construction rejects invalid seeds outright: a zero entry, a tuple
@@ -64,18 +68,20 @@ class CubicQuadruple:
     coincides with one of ``a``, ``b``, ``c``.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.b * self.c * self.d == 0:
-            raise ValueError(f"invalid seed {self.as_tuple}: zero entry (a*b*c*d must be nonzero)")
-        if self.a**3 + self.b**3 + self.c**3 != self.d**3:
-            raise ValueError(f"invalid seed {self.as_tuple}: a^3 + b^3 + c^3 != d^3")
-        if self.d in (self.a, self.b, self.c):
-            raise ValueError(f"invalid seed {self.as_tuple}: trivial solution (d equals a, b or c)")
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if a * b * c * d == 0:
+            raise ValueError(f"invalid seed {(a, b, c, d)}: zero entry (a*b*c*d must be nonzero)")
+        if a**3 + b**3 + c**3 != d**3:
+            raise ValueError(f"invalid seed {(a, b, c, d)}: a^3 + b^3 + c^3 != d^3")
+        if d in (a, b, c):
+            raise ValueError(f"invalid seed {(a, b, c, d)}: trivial solution (d equals a, b or c)")
+        return super().__new__(cls, a, b, c, d)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def as_tuple(self) -> tuple[int, int, int, int]:
@@ -98,8 +104,7 @@ def permute_seed(seed: CubicQuadruple, perm: str) -> CubicQuadruple:
     return CubicQuadruple(values[perm[0]], values[perm[1]], values[perm[2]], seed.d)
 
 
-@dataclass(frozen=True)
-class FormQuadruple:
+class FormQuadruple(NamedTuple):
     """Four binary quadratic forms with ``q1^3 + q2^3 + q3^3 = q4^3``.
 
     The identity is a checkable property (``verify_cubic_identity``),

@@ -96,15 +96,21 @@ def faulhaber(k: int) -> Polynomial:
     """Polynomial in ``n`` equal to ``S_k(n)`` for every n >= 1.
 
     Degree ``k + 1``, zero constant term, leading coefficient
-    ``1/(k+1)``.  Cached; ``Polynomial`` is immutable so the shared
-    instances are safe.
+    ``1/(k+1)``: the coefficient of ``n^j`` is
+    ``C(k+1, j) * (-1)^(k+1-j) * B_(k+1-j) / (k+1)``.  The numerators
+    are built as integers over ``(k+1) * lcm`` of the Bernoulli
+    denominators, with no ``Fraction`` per coefficient.  Cached;
+    ``Polynomial`` is immutable so the shared instances are safe.
     """
     _check_exponent(k)
     kk = k + 1
-    return Polynomial(
-        (j, Fraction(math.comb(kk, j), kk) * (-1) ** (kk - j) * bernoulli(kk - j))
-        for j in range(1, kk + 1)
-    )
+    numbers = [bernoulli(kk - j) for j in range(1, kk + 1)]  # B_k first, which fills the cache
+    den = math.lcm(*(b.denominator for b in numbers))
+    num = [0] + [
+        math.comb(kk, j) * (-1) ** (kk - j) * b.numerator * (den // b.denominator)
+        for j, b in enumerate(numbers, start=1)
+    ]
+    return Polynomial._from_ints(num, kk * den)
 
 
 def product(k: int, m: int) -> PowerSumCombo:

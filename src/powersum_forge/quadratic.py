@@ -12,7 +12,7 @@ the pure combinations is never contaminated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cubic import BinaryQuadraticForm
 from .polynomials import Polynomial, powers_telescope
@@ -31,28 +31,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PythagoreanQuadruple:
-    """Integers with ``a^2 + b^2 + c^2 = d^2``, all nonzero."""
-
+class _PythagoreanFields(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        if self.a * self.b * self.c * self.d == 0:
-            raise ValueError(f"invalid quadruple {self.as_tuple}: zero entry")
-        if self.a**2 + self.b**2 + self.c**2 != self.d**2:
-            raise ValueError(f"invalid quadruple {self.as_tuple}: a^2 + b^2 + c^2 != d^2")
+
+class PythagoreanQuadruple(_PythagoreanFields):
+    """Integers with ``a^2 + b^2 + c^2 = d^2``, all nonzero."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if a * b * c * d == 0:
+            raise ValueError(f"invalid quadruple {(a, b, c, d)}: zero entry")
+        if a**2 + b**2 + c**2 != d**2:
+            raise ValueError(f"invalid quadruple {(a, b, c, d)}: a^2 + b^2 + c^2 != d^2")
+        return super().__new__(cls, a, b, c, d)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class SquareFormQuadruple:
+class SquareFormQuadruple(NamedTuple):
     """Four forms with ``q1^2 + q2^2 + q3^2 = q4^2`` as polynomials."""
 
     q1: BinaryQuadraticForm

@@ -22,9 +22,8 @@ recovered exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .cubic import BinaryQuadraticForm, FormQuadruple, verify_cubic_identity
 from .exactcore import json_int
@@ -46,31 +45,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QMode:
-    """Substitute (u, v) -> (S_k, S_m)."""
-
+class _QFields(NamedTuple):
     k: int
     m: int
 
-    def __post_init__(self):
-        if self.k < 1 or self.m < 1:
+
+class QMode(_QFields):
+    """Substitute (u, v) -> (S_k, S_m)."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, m: int):
+        if k < 1 or m < 1:
             raise ValueError("Q mode requires k >= 1 and m >= 1")
+        return super().__new__(cls, k, m)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def label(self) -> str:
         return f"Q:{self.k},{self.m}"
 
 
-@dataclass(frozen=True)
-class FMode:
-    """Substitute (u, v) -> (S_2, S_1^k)."""
-
+class _FFields(NamedTuple):
     k: int
 
-    def __post_init__(self):
-        if self.k < 1:
+
+class FMode(_FFields):
+    """Substitute (u, v) -> (S_2, S_1^k)."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int):
+        if k < 1:
             raise ValueError("F mode requires k >= 1")
+        return super().__new__(cls, k)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def label(self) -> str:
@@ -113,8 +128,7 @@ def build_F(form: BinaryQuadraticForm, k: int) -> PowerSumCombo:
     return form.alpha * square(2) + form.beta * s2_s1_power(k) + form.gamma * s1_power(2 * k)
 
 
-@dataclass(frozen=True)
-class ComboQuadruple:
+class ComboQuadruple(NamedTuple):
     """Four integer-coefficient combos with ``c1^3 + c2^3 + c3^3 = c4^3``.
 
     ``common_factor`` restores the exact pre-normalization combos:
@@ -141,8 +155,7 @@ def build_relation(fq: FormQuadruple, mode: RelationMode) -> ComboQuadruple:
     return ComboQuadruple(combos, factor, fq, mode)
 
 
-@dataclass(frozen=True)
-class PolyIdentity:
+class PolyIdentity(NamedTuple):
     """Four integer polynomials with ``p1^3 + p2^3 + p3^3 = p4^3``.
 
     ``scale`` is the multiplier that was applied to the exact rational

@@ -7,19 +7,24 @@ coefficient 1 is omitted before a symbol, zero terms are skipped, and
 term order follows the established display conventions (ascending
 exponents for combinations and identity polynomials, descending for the
 power-sum polynomial table).
+
+The value types are imported where they are built or told apart, so
+rendering a Bernoulli number loads no form or relation module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cubic import BinaryQuadraticForm, CubicQuadruple, FormQuadruple
 from .exactcore import json_int, json_ints
-from .polynomials import ExactCombination, Polynomial
-from .powersums import CONSTANT_EXP, PowerSumCombo
-from .quadratic import PythagoreanQuadruple, SquareFormQuadruple
-from .relations import ComboQuadruple, PolyIdentity
+
+if TYPE_CHECKING:
+    from .cubic import BinaryQuadraticForm, FormQuadruple
+    from .polynomials import ExactCombination, Polynomial
+    from .powersums import PowerSumCombo
+    from .quadratic import SquareFormQuadruple
+    from .relations import ComboQuadruple, PolyIdentity
 
 __all__ = [
     "fraction_to_json",
@@ -70,6 +75,8 @@ def form_to_json(form: BinaryQuadraticForm) -> dict:
 def form_from_json(obj: dict, field: str = "form") -> BinaryQuadraticForm:
     """A form from its JSON object; a missing or non-integer entry raises
     ValueError naming ``field`` and the key."""
+    from .cubic import BinaryQuadraticForm
+
     if not isinstance(obj, dict):
         raise ValueError(f"{field} must be an object with alpha, beta and gamma")
     values = []
@@ -84,7 +91,9 @@ def form_quadruple_to_json(
     fq: FormQuadruple | SquareFormQuadruple,
     content: int | None = None,
 ) -> dict:
-    identity = "square" if isinstance(fq, SquareFormQuadruple) else "cubic"
+    from .cubic import FormQuadruple
+
+    identity = "cubic" if isinstance(fq, FormQuadruple) else "square"
     out: dict = {"identity": identity, "q": [form_to_json(f) for f in fq.forms]}
     if fq.seed is not None:
         out["seed"] = list(fq.seed.as_tuple)
@@ -106,8 +115,12 @@ def form_quadruple_from_json(obj: dict) -> FormQuadruple | SquareFormQuadruple:
     if seed_values:
         seed_values = json_ints(seed_values, "seed", 4)
     if obj.get("identity", "cubic") == "square":
+        from .quadratic import PythagoreanQuadruple, SquareFormQuadruple
+
         seed = PythagoreanQuadruple(*seed_values) if seed_values else None
         return SquareFormQuadruple(*forms, seed=seed)
+    from .cubic import CubicQuadruple, FormQuadruple
+
     seed = CubicQuadruple(*seed_values) if seed_values else None
     return FormQuadruple(*forms, seed=seed)
 
@@ -175,14 +188,16 @@ def poly_to_latex(poly: Polynomial, var: str = "u", order: str = "asc") -> str:
 
 
 def _subscript_symbol(exp: int) -> str:
-    if exp == CONSTANT_EXP:
-        return ""
     return f"S_{exp}" if exp < 10 else f"S_{{{exp}}}"
 
 
 def combo_to_latex(combo: PowerSumCombo) -> str:
-    # terms ascend by exponent, so the constant slot (-1) comes first
-    return _join_terms([(c, _subscript_symbol(e)) for e, c in combo.terms.items()])
+    from .powersums import CONSTANT_EXP
+
+    # terms ascend by exponent, so the constant slot comes first
+    return _join_terms(
+        [(c, "" if e == CONSTANT_EXP else _subscript_symbol(e)) for e, c in combo.terms.items()]
+    )
 
 
 def form_to_latex(form: BinaryQuadraticForm) -> str:

@@ -41,10 +41,9 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .cubic import (
     CubicQuadruple,
@@ -133,8 +132,7 @@ def detect_taxicab(quad: Sequence[int]) -> int | None:
     return y**3 + z**3
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
     """One numeric solution with provenance and classification."""
 
     seed: CubicQuadruple
@@ -203,18 +201,30 @@ def verify_record(record: SolutionRecord) -> None:
         raise ValueError(f"taxicab tag mismatch for {record.reduced}")
 
 
-@dataclass
 class SearchStats:
-    evaluated: int = 0
-    degenerate: int = 0
-    duplicates: int = 0
-    emitted: int = 0
+    """Counters of one search run, updated as it streams."""
+
+    __slots__ = ("evaluated", "degenerate", "duplicates", "emitted")
+
+    def __init__(self, evaluated: int = 0, degenerate: int = 0, duplicates: int = 0, emitted: int = 0):
+        self.evaluated = evaluated
+        self.degenerate = degenerate
+        self.duplicates = duplicates
+        self.emitted = emitted
+
+    def __eq__(self, other):
+        if type(other) is not SearchStats:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SearchStats({fields})"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Validated search parameters; ranges are inclusive."""
-
+class _ConfigFields(NamedTuple):
     seeds: tuple[CubicQuadruple, ...]
     u_range: tuple[int, int]
     v_range: tuple[int, int]
@@ -223,7 +233,14 @@ class SearchConfig:
     output: str | None = None
     force: bool = False
 
-    def __post_init__(self):
+
+class SearchConfig(_ConfigFields):
+    """Validated search parameters; ranges are inclusive."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.seeds:
             raise ValueError("search config needs at least one seed")
         if not self.modes:
@@ -238,6 +255,11 @@ class SearchConfig:
             raise ValueError(
                 f"search config field 'output' must be a string or null, got {self.output!r}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def lattice_points(self) -> int:
@@ -437,7 +459,7 @@ def write_records(records: Iterable[SolutionRecord], destination: str | Path | I
         ratio = r.ratio.numerator, r.ratio.denominator
         write(
             _RECORD_LINE
-            % (*r.seed.as_tuple, *r.uv, *r.raw, *r.reduced, r.content, *ratio, taxicab)
+            % (*r.seed, *r.uv, *r.raw, *r.reduced, r.content, *ratio, taxicab)
         )
         count += 1
     return count

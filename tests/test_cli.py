@@ -99,6 +99,18 @@ def test_sandor_subst(capsys):
     assert obj["q"][0] == {"alpha": "3", "beta": "5", "gamma": "-5"}
 
 
+@pytest.mark.parametrize("matrix", ["1_0,0,0,1", "\u0661,0,0,1", "1/2,0,0,1 1", "1 /2,0,0,1"])
+def test_sandor_subst_needs_plain_ascii_entries(capsys, matrix):
+    code, out, err = run(capsys, "sandor", "3", "4", "5", "6", "--reduce", "--subst", matrix)
+    assert code == 2 and out == ""
+    assert err == f"error: bad matrix entries {matrix!r}"
+
+
+def test_sandor_subst_allows_spaces_around_commas(capsys):
+    obj = run_json(capsys, "sandor", "3", "4", "5", "6", "--reduce", "--subst", " 1/2 , 0,0 ,1")
+    assert obj["q"][0] == {"alpha": "3", "beta": "5", "gamma": "-5"}
+
+
 def test_sandor_invalid_seed(capsys):
     code, _, err = run(capsys, "sandor", "1", "1", "1", "1")
     assert code == 2
@@ -659,3 +671,55 @@ def test_verify_report_of_a_mixed_file_is_pinned(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2e5cf71ddd898170da240b1599477fea1b4e0b0114950421e358592a631f5fca"
     )
+
+
+#: One command line per kind of integer argument, with ``{}`` where the integer goes.
+INTEGER_ARGUMENTS = {
+    "k": ["bernoulli", "{}"],
+    "args": ["combo", "product", "2", "{}"],
+    "a..d": ["sandor", "1", "6", "8", "{}"],
+    "values": ["quad", "quadruple", "{}"],
+    "--degenerate": ["quad", "piezas", "12", "3", "4", "13", "--degenerate", "{}"],
+    "--eval": ["quad", "quadruple", "2", "--eval", "{}"],
+    "--threads": ["search", "--config", "search.json", "--threads", "{}"],
+}
+
+
+@pytest.mark.parametrize("text", ["\u0661_\u0662", " 3 ", "1_2", "3.0", "", "+"])
+@pytest.mark.parametrize("kind", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_need_ascii_digits(capsys, kind, text):
+    """Every integer argument is an optional sign and ASCII digits, as json_int reads it."""
+    argv = [a.replace("{}", text) for a in INTEGER_ARGUMENTS[kind]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"invalid integer value: {text!r}" in captured.err
+
+
+@pytest.mark.parametrize("kind", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_take_a_sign(capsys, monkeypatch, tmp_path, kind):
+    """A leading ``+`` still parses; the call then runs as with the bare digits."""
+    monkeypatch.chdir(tmp_path)
+    config = {"seeds": [[1, 6, 8, 9]], "u_range": [-2, 2], "v_range": [-2, 2]}
+    (tmp_path / "search.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = INTEGER_ARGUMENTS[kind]
+    value = {"a..d": "9", "--degenerate": "5"}.get(kind, "2")
+    results = []
+    for text in ("+" + value, value):
+        code = main([a.replace("{}", text) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        results.append((captured.out, captured.err))
+    assert results[0] == results[1]
+
+
+def test_bernoulli_arabic_indic_digits_exit_2_from_the_shell():
+    proc = subprocess.run(
+        [sys.executable, "-m", "powersum_forge", "bernoulli", "\u0661_\u0662"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from powersum_forge.cli import main
+from powersum_forge.exactcore import bernoulli
 from powersum_forge.polynomials import Polynomial
 from powersum_forge.powersums import (
     CONSTANT_EXP,
@@ -45,6 +46,17 @@ def test_faulhaber_structure():
         assert p.degree == k + 1
         assert p.coefficient(0) == 0
         assert p.coefficient(k + 1) == Fraction(1, k + 1)
+
+
+@pytest.mark.parametrize("k", range(61))
+def test_faulhaber_integer_table_matches_fraction_formula(k):
+    """The integer-numerator table has the normal form of the formula built from Fractions."""
+    kk = k + 1
+    reference = Polynomial(
+        (j, Fraction(comb(kk, j), kk) * (-1) ** (kk - j) * bernoulli(kk - j))
+        for j in range(1, kk + 1)
+    )
+    assert (faulhaber(k)._num, faulhaber(k)._den) == (reference._num, reference._den)
 
 
 def test_faulhaber_matches_direct_sums():
