@@ -198,19 +198,16 @@ def cmd_relation(args) -> tuple[int, str]:
     fq, _ = content_reduce(sandor_generate(seed))
     cq = build_relation(fq, mode)
     out = render.combo_quadruple_to_json(cq)
-    latex = render.combo_quadruple_latex(cq)
-    if args.expand or args.factor:
-        identity = expand_relation(cq)
-        out["expanded"] = render.poly_identity_to_json(identity)
-        latex = render.poly_identity_latex(identity)
-        if args.factor:
-            quotient, divisor = factor_common_root(identity)
-            out["factored"] = render.poly_identity_to_json(quotient)
-            out["factored"]["divisor"] = render.poly_to_json(divisor)
-            latex = render.poly_identity_latex(quotient)
-    if args.latex:
-        return OK, latex
-    return OK, _emit(out)
+    if not (args.expand or args.factor):
+        return OK, render.combo_quadruple_latex(cq) if args.latex else _emit(out)
+    identity = expand_relation(cq)
+    out["expanded"] = render.poly_identity_to_json(identity)
+    if args.factor:
+        identity, divisor = factor_common_root(identity)
+        out["factored"] = render.poly_identity_to_json(identity)
+        out["factored"]["divisor"] = render.poly_to_json(divisor)
+    # --latex prints the last stage computed, and only that is rendered.
+    return OK, render.poly_identity_latex(identity) if args.latex else _emit(out)
 
 
 _QUAD_ARITY = {"piezas": 4, "quadruple": 1, "triple": 2, "equal-sums": 1}
@@ -295,7 +292,7 @@ def cmd_search(args) -> tuple[int, str]:
         cfg = cfg._replace(force=True)
     stats = SearchStats()
     records = run_search(cfg, stats=stats, threads=args.threads)
-    if cfg.output:
+    if cfg.output is not None:
         write_records(records, cfg.output)
         return OK, _emit({"output": cfg.output, **_search_summary(stats)})
     write_records(records, sys.stdout)

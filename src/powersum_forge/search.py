@@ -17,6 +17,13 @@ Cubic mode evaluates the reduced family with a row kernel: for each
 ``u`` it folds ``alpha*u^2`` and ``beta*u`` of every form into two
 constants, so each point costs ``A + (B + gamma*v)*v`` per form
 (:func:`cubic.evaluate_forms` is the same value, one point at a time).
+Each form is homogeneous of degree 2, so ``(u, v)`` and ``(-u, -v)``
+give the same raw tuple: with ``dedupe`` on, a cubic point whose mirror
+is in the box and earlier in scan order is not evaluated, only counted
+(degenerate if its mirror was, a duplicate otherwise).  ``evaluated``
+counts every lattice point visited, these mirrored points included, so
+records and counts are those of a full scan.
+
 One canonicalizer, :func:`canonicalize`, serves both the search and
 :func:`verify_record`.  One record-line encoder, a single ``%``-format
 template in :func:`write_records`, writes every record, to a file or to
@@ -255,6 +262,8 @@ class SearchConfig(_ConfigFields):
             raise ValueError(
                 f"search config field 'output' must be a string or null, got {self.output!r}"
             )
+        if self.output == "":
+            raise ValueError("search config field 'output' must name a file, or be null for stdout")
         return self
 
     @classmethod
@@ -349,7 +358,11 @@ def run_search(
     (0, 0)) are skipped and counted in ``stats.degenerate``.  With
     ``dedupe`` enabled, only the first occurrence of each canonical
     quadruple is emitted, so every distinct one is held in memory until
-    the run ends.  The guardrail on total lattice points is
+    the run ends; a cubic point whose mirror ``(-u, -v)`` was visited
+    earlier is classified without arithmetic, as its raw tuple is the
+    mirror's.  ``stats.evaluated`` counts every lattice point visited,
+    mirrored points included, and every count is current at each
+    record yielded.  The guardrail on total lattice points is
     checked eagerly, before any evaluation.  ``threads`` is accepted for
     compatibility and ignored: the search is single-threaded.
     """
@@ -369,10 +382,16 @@ def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionReco
     for seed in cfg.seeds:
         ratio = fraction_ratio(seed)
         for mode in cfg.modes:
-            for uv, raw in _evaluate_family(seed, mode, cfg):
+            # With dedupe on, a cubic point whose mirror (-u, -v) came
+            # earlier is counted by _unmirrored_rows, not evaluated.
+            zeros: dict[int, list[int]] | None = {} if cfg.dedupe and mode == "cubic" else None
+            rows = None if zeros is None else _unmirrored_rows(cfg, stats, zeros)
+            for uv, raw in _evaluate_family(seed, mode, cfg, rows):
                 stats.evaluated += 1
                 if 0 in raw:
                     stats.degenerate += 1
+                    if zeros is not None:
+                        zeros.setdefault(uv[0], []).append(uv[1])
                     continue
                 reduced, content = canonicalize(raw)
                 if cfg.dedupe:
@@ -385,24 +404,64 @@ def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionReco
                 yield SolutionRecord(seed, uv, raw, reduced, content, ratio, taxicab)
 
 
+def _unmirrored_rows(
+    cfg: SearchConfig,
+    stats: SearchStats,
+    zeros: dict[int, list[int]],
+) -> Iterator[tuple[int, range]]:
+    """The ``(u, v_range)`` segments of the cubic box left to evaluate once
+    the points whose mirror ``(-u, -v)`` is in the box and earlier in scan
+    order (``u > 0``, or ``u = 0 < v``) are taken out.
+
+    Those points form one interval of ``v`` per row, between this row's two
+    segments.  They are counted into ``stats`` when the second segment is
+    asked for, which the row kernel does only after the consumer has taken
+    every point of the first: each is degenerate if its mirror is in
+    ``zeros`` (row -> ``v`` of the degenerate points scanned so far) and a
+    duplicate otherwise, as the mirror's canonical quadruple is already seen.
+    """
+    (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
+    for u in range(u_lo, u_hi + 1):
+        lo, hi = max(v_lo, -v_hi), min(v_hi, -v_lo)
+        if u == 0:
+            lo = max(lo, 1)
+        if u < 0 or -u < u_lo or lo > hi:
+            yield u, range(v_lo, v_hi + 1)
+            continue
+        yield u, range(v_lo, lo)
+        degenerate = sum(lo <= -v <= hi for v in zeros.get(-u, ()))
+        stats.evaluated += hi - lo + 1
+        stats.degenerate += degenerate
+        stats.duplicates += hi - lo + 1 - degenerate
+        yield u, range(hi + 1, v_hi + 1)
+
+
 def _evaluate_family(
     seed: CubicQuadruple,
     mode: SearchMode,
     cfg: SearchConfig,
+    rows: Iterable[tuple[int, range]] | None = None,
 ) -> Iterator[tuple[tuple[int, int], IntQuad]]:
+    """``(uv, raw)`` at each point of the family's grid, in scan order.
+
+    In cubic mode ``rows``, ``(u, v_range)`` pairs, picks the points to
+    evaluate; by default it is every row of the box.
+    """
     u_lo, u_hi = cfg.u_range
     family, _ = content_reduce(sandor_generate(seed))
     if mode == "cubic":
+        if rows is None:
+            row = range(cfg.v_range[0], cfg.v_range[1] + 1)
+            rows = ((u, row) for u in range(u_lo, u_hi + 1))
         # Row kernel: q_i(u, v) = alpha_i*u^2 + beta_i*u*v + gamma_i*v^2
         # is A_i + (B_i + gamma_i*v)*v with A_i = alpha_i*u^2 and
         # B_i = beta_i*u fixed for the whole row.
         (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = family.coefficient_rows
-        row = range(cfg.v_range[0], cfg.v_range[1] + 1)
-        for u in range(u_lo, u_hi + 1):
+        for u, vs in rows:
             uu = u * u
             A1, A2, A3, A4 = a1 * uu, a2 * uu, a3 * uu, a4 * uu
             B1, B2, B3, B4 = b1 * u, b2 * u, b3 * u, b4 * u
-            for v in row:
+            for v in vs:
                 yield (u, v), (
                     A1 + (B1 + c1 * v) * v,
                     A2 + (B2 + c2 * v) * v,

@@ -723,3 +723,50 @@ def test_bernoulli_arabic_indic_digits_exit_2_from_the_shell():
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+RELATION_ARGV = ["relation", "--seed", "1,6,8,9", "--mode", "Q:15,20"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--expand"], ["--factor"], ["--expand", "--factor"]])
+def test_relation_without_latex_renders_no_latex(capsys, monkeypatch, flags):
+    expected = run(capsys, *RELATION_ARGV, *flags)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LaTeX rendered without --latex")
+
+    monkeypatch.setattr(powersum_forge.render, "poly_identity_latex", refuse)
+    monkeypatch.setattr(powersum_forge.render, "combo_quadruple_latex", refuse)
+    assert expected[0] == 0
+    assert run(capsys, *RELATION_ARGV, *flags) == expected
+
+
+@pytest.mark.parametrize("flags", [[], ["--expand"], ["--factor"], ["--expand", "--factor"]])
+def test_relation_latex_prints_the_last_stage(capsys, flags):
+    from powersum_forge import render
+    from powersum_forge.cubic import content_reduce, sandor_generate
+    from powersum_forge.relations import (
+        build_relation,
+        expand_relation,
+        factor_common_root,
+        parse_mode,
+    )
+
+    family, _ = content_reduce(sandor_generate(CubicQuadruple(1, 6, 8, 9)))
+    cq = build_relation(family, parse_mode("Q:15,20"))
+    if "--factor" in flags:
+        expected = render.poly_identity_latex(factor_common_root(expand_relation(cq))[0])
+    elif flags:
+        expected = render.poly_identity_latex(expand_relation(cq))
+    else:
+        expected = render.combo_quadruple_latex(cq)
+    code, out, _ = run(capsys, *RELATION_ARGV, *flags, "--latex")
+    assert code == 0 and out == expected.strip()
+
+
+def test_search_config_with_empty_output_is_usage_error(capsys, tmp_path):
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": [0, 1], "output": ""}
+    code, out, err = run(capsys, "search", "--config", write_config(tmp_path, cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'output'" in err
+    assert "Traceback" not in err

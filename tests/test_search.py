@@ -447,6 +447,108 @@ def test_cubic_kernel_matches_evaluate_forms(seed, box):
     assert list(search._evaluate_family(seed, "cubic", cfg)) == expected
 
 
+def full_scan(cfg, reduce=content_reduce):
+    """Records and counts of a dedupe-on cubic search that evaluates every
+    point of the box with ``evaluate_forms``."""
+    records, stats, seen = [], SearchStats(), set()
+    (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
+    for seed in cfg.seeds:
+        family, _ = reduce(sandor_generate(seed))
+        ratio = fraction_ratio(seed)
+        for u in range(u_lo, u_hi + 1):
+            for v in range(v_lo, v_hi + 1):
+                stats.evaluated += 1
+                raw = evaluate_forms(family, u, v)
+                if 0 in raw:
+                    stats.degenerate += 1
+                    continue
+                reduced, content = canonicalize(raw)
+                if reduced in seen:
+                    stats.duplicates += 1
+                    continue
+                seen.add(reduced)
+                stats.emitted += 1
+                taxicab = detect_taxicab(reduced)
+                records.append(SolutionRecord(seed, (u, v), raw, reduced, content, ratio, taxicab))
+    return records, stats
+
+
+mirror_boxes = st.one_of(
+    boxes,
+    # straddling 0 unevenly on both axes
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)).map(
+        lambda t: (-t[0], t[0] + t[1], -t[2], t[2] + t[3])
+    ),
+    # the single row u = 0
+    st.tuples(st.just(0), st.just(0), st.integers(-12, 4), st.integers(0, 16)),
+)
+
+
+@given(st.lists(seeds(), min_size=1, max_size=2), mirror_boxes)
+def test_mirror_skipping_search_matches_a_full_scan(seed_list, box):
+    u_lo, du, v_lo, dv = box
+    cfg = config([s.as_tuple for s in seed_list], u=(u_lo, u_lo + du), v=(v_lo, v_lo + dv))
+    stats = SearchStats()
+    records = list(run_search(cfg, stats=stats))
+    assert (records, stats) == full_scan(cfg)
+
+
+def line_vanishing_family(fq):
+    """The reduced family with q1 vanishing on v = 0 (alpha = 0) and q2 on
+    u = 0 (gamma = 0); the cubic identity no longer holds, which the
+    search never checks."""
+    family, g = content_reduce(fq)
+    q1, q2, q3, q4 = family.forms
+    return family._replace(q1=q1._replace(alpha=0), q2=q2._replace(gamma=0)), g
+
+
+@pytest.mark.parametrize(
+    "u,v", [((-6, 6), (-6, 6)), ((-3, 7), (-5, 2)), ((0, 0), (-6, 4)), ((-2, 5), (0, 3))]
+)
+def test_mirrored_points_of_degenerate_points_count_as_degenerate(monkeypatch, u, v):
+    monkeypatch.setattr(search, "content_reduce", line_vanishing_family)
+    cfg = config([(1, 6, 8, 9), (3, 4, 5, 6)], u=u, v=v)
+    stats = SearchStats()
+    records = list(run_search(cfg, stats=stats))
+    assert (records, stats) == full_scan(cfg, line_vanishing_family)
+    # each box holds the lines u = 0 and v = 0, where every point is degenerate
+    rows, cols = u[1] - u[0] + 1, v[1] - v[0] + 1
+    assert stats.degenerate >= len(cfg.seeds) * (rows + cols - 1)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        config([(1, 6, 8, 9), (8, 1, 6, 9)], u=(-7, 9), v=(-6, 9)),
+        config([(1, 6, 8, 9), (8, 1, 6, 9)], u=(-7, 9), v=(-6, 9), dedupe=False),
+        config([(1, 6, 8, 9)], u=(-30, 30), v=(0, 0), modes=("cubic", QMode(1, 2), FMode(2))),
+    ],
+)
+def test_stats_are_current_at_every_record(cfg):
+    (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
+    nu, nv = u_hi - u_lo + 1, v_hi - v_lo + 1
+    stats = SearchStats()
+    yielded = 0
+    for record in run_search(cfg, stats=stats):
+        yielded += 1
+        assert stats.emitted == yielded
+        assert stats.evaluated == stats.degenerate + stats.duplicates + stats.emitted
+        if cfg.modes == ("cubic",):
+            # every lattice point up to this record's, mirrored or not
+            (u, v), seed_index = record.uv, cfg.seeds.index(record.seed)
+            assert stats.evaluated == (seed_index * nu + u - u_lo) * nv + v - v_lo + 1
+    assert stats.evaluated == cfg.lattice_points
+
+
+def test_config_refuses_an_empty_output():
+    with pytest.raises(ValueError, match="'output'"):
+        config([(1, 6, 8, 9)], output="")
+    with pytest.raises(ValueError, match="'output'"):
+        SearchConfig.from_dict(
+            {"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": [0, 1], "output": ""}
+        )
+
+
 @pytest.mark.parametrize(
     "cfg,count,prefix",
     [
