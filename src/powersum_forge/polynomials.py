@@ -210,10 +210,7 @@ class Polynomial(ExactCombination):
         """
         if not isinstance(x, int):
             x = Fraction(x)
-        acc = 0
-        for c in reversed(self._num):
-            acc = acc * x + c
-        return Fraction(acc, self._den)
+        return Fraction(_horner(self._num, x), self._den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -243,6 +240,15 @@ def _normalize(num: list[int], den: int) -> tuple[list[int], int]:
         num = [c // g for c in num]
         den //= g
     return num, den
+
+
+def _horner(num: Sequence[int], x):
+    """``sum(c * x**i for i, c in enumerate(num))`` by Horner's rule; an
+    integer when ``x`` is one."""
+    acc = 0
+    for c in reversed(num):
+        acc = acc * x + c
+    return acc
 
 
 def _scaled(num: list[int], factor: int) -> list[int]:

@@ -35,10 +35,20 @@ that template; any other line is read by ``json.loads`` and
 :meth:`SolutionRecord.from_json`, which alone word the errors, and
 every record, read either way, goes through :func:`verify_record`.
 
-Relation modes (``Q:k,m`` / ``F:k``) evaluate the expanded univariate
-identity at each integer ``u`` in ``u_range``; the record stores
-``uv = [u, 0]`` for those, and ``v_range`` is ignored.  A value that is
-not a whole number raises RuntimeError instead of being truncated.
+Relation modes (``Q:k,m`` / ``F:k``) scan the integers ``u`` of
+``u_range`` and evaluate the expanded univariate identity by Horner's
+rule on its integer numerators; the record stores ``uv = [u, 0]`` for
+those, and ``v_range`` is ignored.  A value that is not a whole number
+raises RuntimeError instead of being truncated.  The reflection of
+``u`` is ``-1-u``: as ``S_k(-1-n) = (-1)^(k+1) S_k(n)``, every expanded
+polynomial of ``Q:k,m`` with ``k + m`` even satisfies ``P(-1-u) = P(u)``,
+and those of ``F:k`` do not.  The search never goes by the mode's name:
+once per seed and mode it checks ``P(t) == P(-1-t)`` at ``t = 0..D``,
+``D`` the largest degree, which proves the identity exactly (a nonzero
+polynomial of degree at most ``D`` has at most ``D`` roots).  When the
+check holds and ``dedupe`` is on, a point ``u >= 0`` whose reflection
+is in ``u_range`` is counted as the cubic mirrored points are, not
+evaluated, and ``evaluated`` counts it too.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ from .cubic import (
     sandor_generate,
 )
 from .exactcore import json_int, json_ints
+from .polynomials import _horner
 from .relations import FMode, QMode, RelationMode, build_relation, expand_relation, parse_mode
 
 __all__ = [
@@ -360,11 +371,15 @@ def run_search(
     quadruple is emitted, so every distinct one is held in memory until
     the run ends; a cubic point whose mirror ``(-u, -v)`` was visited
     earlier is classified without arithmetic, as its raw tuple is the
-    mirror's.  ``stats.evaluated`` counts every lattice point visited,
-    mirrored points included, and every count is current at each
-    record yielded.  The guardrail on total lattice points is
-    checked eagerly, before any evaluation.  ``threads`` is accepted for
-    compatibility and ignored: the search is single-threaded.
+    mirror's, and so is a relation point ``u`` whose reflection
+    ``-1-u`` was, once the exact ``D + 1``-point check has proven
+    ``P(-1-t) == P(t)`` for every expanded polynomial of that seed and
+    mode (in practice ``Q:k,m`` with ``k + m`` even, never ``F:k``).
+    ``stats.evaluated`` counts every lattice point visited, mirrored
+    points included, and every count is current at each record
+    yielded.  The guardrail on total lattice points is checked eagerly,
+    before any evaluation.  ``threads`` is accepted for compatibility
+    and ignored: the search is single-threaded.
     """
     points = cfg.lattice_points
     if points > GRID_GUARDRAIL and not cfg.force:
@@ -382,11 +397,11 @@ def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionReco
     for seed in cfg.seeds:
         ratio = fraction_ratio(seed)
         for mode in cfg.modes:
-            # With dedupe on, a cubic point whose mirror (-u, -v) came
-            # earlier is counted by _unmirrored_rows, not evaluated.
-            zeros: dict[int, list[int]] | None = {} if cfg.dedupe and mode == "cubic" else None
-            rows = None if zeros is None else _unmirrored_rows(cfg, stats, zeros)
-            for uv, raw in _evaluate_family(seed, mode, cfg, rows):
+            # With dedupe on, a point whose mirror came earlier is counted
+            # by _evaluate_family, not evaluated: zeros keeps, by u, the v
+            # of the degenerate points scanned so far.
+            zeros: dict[int, list[int]] | None = {} if cfg.dedupe else None
+            for uv, raw in _evaluate_family(seed, mode, cfg, zeros, stats):
                 stats.evaluated += 1
                 if 0 in raw:
                     stats.degenerate += 1
@@ -404,6 +419,21 @@ def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionReco
                 yield SolutionRecord(seed, uv, raw, reduced, content, ratio, taxicab)
 
 
+def _count_mirrored(stats: SearchStats, lo: int, hi: int, mirrored_zeros: Iterable[int]) -> None:
+    """Count the points ``lo..hi`` of one line, each of whose mirror was
+    scanned earlier, into ``stats`` without evaluating them.
+
+    A point is degenerate if its mirror was (``mirrored_zeros`` holds the
+    images, on this line, of the degenerate points scanned so far) and a
+    duplicate otherwise, as its mirror's canonical quadruple is already seen.
+    """
+    n = hi - lo + 1
+    degenerate = sum(lo <= x <= hi for x in mirrored_zeros)
+    stats.evaluated += n
+    stats.degenerate += degenerate
+    stats.duplicates += n - degenerate
+
+
 def _unmirrored_rows(
     cfg: SearchConfig,
     stats: SearchStats,
@@ -414,11 +444,9 @@ def _unmirrored_rows(
     order (``u > 0``, or ``u = 0 < v``) are taken out.
 
     Those points form one interval of ``v`` per row, between this row's two
-    segments.  They are counted into ``stats`` when the second segment is
-    asked for, which the row kernel does only after the consumer has taken
-    every point of the first: each is degenerate if its mirror is in
-    ``zeros`` (row -> ``v`` of the degenerate points scanned so far) and a
-    duplicate otherwise, as the mirror's canonical quadruple is already seen.
+    segments.  They are counted by :func:`_count_mirrored` when the second
+    segment is asked for, which the row kernel does only after the consumer
+    has taken every point of the first.
     """
     (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
     for u in range(u_lo, u_hi + 1):
@@ -429,30 +457,67 @@ def _unmirrored_rows(
             yield u, range(v_lo, v_hi + 1)
             continue
         yield u, range(v_lo, lo)
-        degenerate = sum(lo <= -v <= hi for v in zeros.get(-u, ()))
-        stats.evaluated += hi - lo + 1
-        stats.degenerate += degenerate
-        stats.duplicates += hi - lo + 1 - degenerate
+        _count_mirrored(stats, lo, hi, (-v for v in zeros.get(-u, ())))
         yield u, range(hi + 1, v_hi + 1)
+
+
+def _unreflected_points(
+    cfg: SearchConfig,
+    stats: SearchStats,
+    zeros: dict[int, list[int]],
+) -> Iterator[range]:
+    """The ``u`` segments of a relation grid left to evaluate once the points
+    whose reflection ``-1-u`` is in ``u_range`` and earlier in scan order
+    (``u >= 0``) are taken out.
+
+    Those points form one interval, counted by :func:`_count_mirrored` when
+    the second segment is asked for; ``zeros`` holds the degenerate ``u``.
+    """
+    u_lo, u_hi = cfg.u_range
+    lo, hi = max(u_lo, 0), min(u_hi, -1 - u_lo)
+    if lo > hi:
+        yield range(u_lo, u_hi + 1)
+        return
+    yield range(u_lo, lo)
+    _count_mirrored(stats, lo, hi, (-1 - u for u in zeros))
+    yield range(hi + 1, u_hi + 1)
+
+
+def _reflection_holds(nums: Sequence[Sequence[int]]) -> bool:
+    """True iff every polynomial (numerators ``nums``) satisfies
+    ``P(-1-t) == P(t)`` identically.
+
+    ``P(t) - P(-1-t)`` has degree at most ``D``, the largest degree, so
+    agreement at the ``D + 1`` points ``t = 0..D`` proves it is zero.
+    """
+    top = max(map(len, nums))  # D + 1
+    return all(_horner(num, t) == _horner(num, -1 - t) for num in nums for t in range(top))
 
 
 def _evaluate_family(
     seed: CubicQuadruple,
     mode: SearchMode,
     cfg: SearchConfig,
-    rows: Iterable[tuple[int, range]] | None = None,
+    zeros: dict[int, list[int]] | None = None,
+    stats: SearchStats | None = None,
 ) -> Iterator[tuple[tuple[int, int], IntQuad]]:
     """``(uv, raw)`` at each point of the family's grid, in scan order.
 
-    In cubic mode ``rows``, ``(u, v_range)`` pairs, picks the points to
-    evaluate; by default it is every row of the box.
+    Given ``zeros`` (dedupe on; the caller's record of degenerate points)
+    and ``stats``, a point whose mirror is in the grid and earlier in scan
+    order is not yielded but counted into ``stats``: in cubic mode the
+    mirror of ``(u, v)`` is ``(-u, -v)``; in a relation mode it is
+    ``(-1-u, 0)``, and only when :func:`_reflection_holds` for the
+    expanded identity, so that the two raw tuples are equal.
     """
     u_lo, u_hi = cfg.u_range
     family, _ = content_reduce(sandor_generate(seed))
     if mode == "cubic":
-        if rows is None:
+        if zeros is None:
             row = range(cfg.v_range[0], cfg.v_range[1] + 1)
             rows = ((u, row) for u in range(u_lo, u_hi + 1))
+        else:
+            rows = _unmirrored_rows(cfg, stats, zeros)
         # Row kernel: q_i(u, v) = alpha_i*u^2 + beta_i*u*v + gamma_i*v^2
         # is A_i + (B_i + gamma_i*v)*v with A_i = alpha_i*u^2 and
         # B_i = beta_i*u fixed for the whole row.
@@ -470,14 +535,25 @@ def _evaluate_family(
                 )
     else:
         identity = expand_relation(build_relation(family, mode))
-        for u in range(u_lo, u_hi + 1):
-            values = identity.evaluate(u)
-            if any(x.denominator != 1 for x in values):
-                raise RuntimeError(
-                    f"seed {seed.as_tuple} mode {mode.label}: identity value "
-                    f"{tuple(map(str, values))} at u={u} is not whole"
-                )
-            yield (u, 0), tuple(x.numerator for x in values)
+        n1, n2, n3, n4 = nums = [p._num for p in identity.polys]
+        dens = [p._den for p in identity.polys]
+        whole = dens == [1, 1, 1, 1]
+        if zeros is not None and _reflection_holds(nums):
+            segments = _unreflected_points(cfg, stats, zeros)
+        else:
+            segments = (range(u_lo, u_hi + 1),)
+        for us in segments:
+            for u in us:
+                raw = _horner(n1, u), _horner(n2, u), _horner(n3, u), _horner(n4, u)
+                if not whole:
+                    if any(x % d for x, d in zip(raw, dens)):
+                        values = identity.evaluate(u)
+                        raise RuntimeError(
+                            f"seed {seed.as_tuple} mode {mode.label}: identity value "
+                            f"{tuple(map(str, values))} at u={u} is not whole"
+                        )
+                    raw = tuple(x // d for x, d in zip(raw, dens))
+                yield (u, 0), raw
 
 
 #: The one record encoder: a JSONL line with every integer as a decimal

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powersum_forge import search
@@ -23,7 +23,7 @@ from powersum_forge.cubic import (
     sandor_generate,
 )
 from powersum_forge.polynomials import Polynomial
-from powersum_forge.relations import FMode, PolyIdentity, QMode
+from powersum_forge.relations import FMode, PolyIdentity, QMode, build_relation, expand_relation
 from powersum_forge.search import (
     GRID_GUARDRAIL,
     SearchConfig,
@@ -447,18 +447,32 @@ def test_cubic_kernel_matches_evaluate_forms(seed, box):
     assert list(search._evaluate_family(seed, "cubic", cfg)) == expected
 
 
-def full_scan(cfg, reduce=content_reduce):
-    """Records and counts of a dedupe-on cubic search that evaluates every
-    point of the box with ``evaluate_forms``."""
+def whole(values):
+    assert all(x.denominator == 1 for x in values)
+    return tuple(x.numerator for x in values)
+
+
+def full_scan(cfg, reduce=content_reduce, expand=expand_relation):
+    """Records and counts of a dedupe-on search that evaluates every point
+    of the grid: a cubic point with ``evaluate_forms``, a relation point
+    with the expanded identity's ``evaluate``."""
     records, stats, seen = [], SearchStats(), set()
     (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
     for seed in cfg.seeds:
         family, _ = reduce(sandor_generate(seed))
         ratio = fraction_ratio(seed)
-        for u in range(u_lo, u_hi + 1):
-            for v in range(v_lo, v_hi + 1):
+        for mode in cfg.modes:
+            if mode == "cubic":
+                points = [
+                    ((u, v), evaluate_forms(family, u, v))
+                    for u in range(u_lo, u_hi + 1)
+                    for v in range(v_lo, v_hi + 1)
+                ]
+            else:
+                identity = expand(build_relation(family, mode))
+                points = [((u, 0), whole(identity.evaluate(u))) for u in range(u_lo, u_hi + 1)]
+            for (u, v), raw in points:
                 stats.evaluated += 1
-                raw = evaluate_forms(family, u, v)
                 if 0 in raw:
                     stats.degenerate += 1
                     continue
@@ -538,6 +552,123 @@ def test_stats_are_current_at_every_record(cfg):
             (u, v), seed_index = record.uv, cfg.seeds.index(record.seed)
             assert stats.evaluated == (seed_index * nu + u - u_lo) * nv + v - v_lo + 1
     assert stats.evaluated == cfg.lattice_points
+
+
+relation_modes = st.one_of(
+    st.builds(QMode, st.integers(1, 6), st.integers(1, 6)),
+    st.builds(FMode, st.integers(1, 3)),
+)
+
+relation_boxes = st.one_of(
+    # straddling -1/2 unevenly
+    st.tuples(st.integers(1, 30), st.integers(0, 30)).map(lambda t: (-t[0], t[1])),
+    # wholly below, wholly above
+    st.tuples(st.integers(1, 40), st.integers(0, 20)).map(lambda t: (-t[0] - t[1], -t[0])),
+    st.tuples(st.integers(0, 40), st.integers(0, 20)).map(lambda t: (t[0], t[0] + t[1])),
+    st.sampled_from([(-1, -1), (0, 0)]),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(seeds(), min_size=1, max_size=2),
+    st.lists(st.one_of(st.just("cubic"), relation_modes), min_size=1, max_size=3).filter(
+        lambda modes: any(mode != "cubic" for mode in modes)
+    ),
+    relation_boxes,
+    st.tuples(st.integers(-3, 1), st.integers(0, 3)),
+)
+def test_reflection_skipping_search_matches_a_full_scan(seed_list, modes, u, v):
+    cfg = config(
+        [s.as_tuple for s in seed_list], u=u, v=(v[0], v[0] + v[1]), modes=tuple(modes)
+    )
+    stats = SearchStats()
+    records = list(run_search(cfg, stats=stats))
+    assert (records, stats) == full_scan(cfg)
+
+
+@pytest.mark.parametrize(
+    "mode,points",
+    [
+        (QMode(3, 5), [*range(-5, 0), *range(5, 10)]),  # k + m even: u = 0..4 mirror -1..-5
+        (QMode(2, 6), [*range(-5, 0), *range(5, 10)]),
+        (QMode(1, 2), list(range(-5, 10))),
+        (FMode(2), list(range(-5, 10))),
+    ],
+)
+def test_relation_grid_evaluates_only_points_without_an_earlier_reflection(mode, points):
+    cfg = config([(1, 6, 8, 9)], u=(-5, 9), v=(0, 0), modes=(mode,))
+    seed = cfg.seeds[0]
+    evaluated = search._evaluate_family(seed, mode, cfg, {}, SearchStats())
+    assert [u for (u, _), _ in evaluated] == points
+    # with dedupe off every point is a record of its own
+    assert [u for (u, _), _ in search._evaluate_family(seed, mode, cfg)] == list(range(-5, 10))
+
+
+def with_symmetric_zeros(scale):
+    """``expand_relation`` with every polynomial times ``scale*(u-2)(u+3)``,
+    which equals its own reflection ``u -> -1-u``: a symmetric identity
+    stays symmetric and gains zeros at u = 2 and u = -3."""
+    factor = Polynomial({0: -6, 1: 1, 2: 1}) * scale
+
+    def expand(cq):
+        identity = expand_relation(cq)
+        return identity._replace(polys=tuple(p * factor for p in identity.polys))
+
+    return expand
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 2)])  # 1/2: whole values over a denominator 2
+@pytest.mark.parametrize("u", [(-6, 9), (-3, 2), (-2, 6), (-9, 0), (0, 4)])
+def test_mirrors_of_degenerate_relation_points_count_as_degenerate(monkeypatch, u, scale):
+    expand = with_symmetric_zeros(scale)
+    monkeypatch.setattr(search, "expand_relation", expand)
+    cfg = config([(1, 6, 8, 9)], u=u, v=(0, 0), modes=(QMode(3, 5), FMode(2)))
+    stats = SearchStats()
+    records = list(run_search(cfg, stats=stats))
+    assert (records, stats) == full_scan(cfg, expand=expand)
+    # every polynomial vanishes at -3, -1, 0 and 2, in both modes
+    zeros = sum(u[0] <= z <= u[1] for z in (-3, -1, 0, 2))
+    assert stats.degenerate == 2 * zeros
+
+
+def lopsided_identity(cq):
+    """An identity that is not symmetric under ``u -> -1-u`` although its
+    first polynomial agrees with its reflection at u = 0, 1, 2: that is
+    ``R + 1`` with ``R = (2u+1) u(u+1) (u-1)(u+2) (u-2)(u+3)``, and
+    ``R(-1-u) = -R(u)``.  A polynomial of degree 7 that is not symmetric
+    agrees with its reflection at no more points ``u >= 0``; the other
+    three are symmetric.  The cubic identity does not hold, which the
+    search never checks."""
+    u = Polynomial.monomial(1)
+    r = (2 * u + 1) * u * (u + 1) * (u - 1) * (u + 2) * (u - 2) * (u + 3)
+    sym = u * u + u
+    return PolyIdentity((r + 1, sym + 2, 2 * sym + 3, sym * sym + 5), Fraction(1))
+
+
+def test_relation_points_are_skipped_only_once_the_reflection_is_proven(monkeypatch):
+    monkeypatch.setattr(search, "expand_relation", lopsided_identity)
+    cfg = config([(1, 6, 8, 9)], u=(-12, 12), v=(0, 0), modes=(QMode(3, 5),))
+    stats = SearchStats()
+    records = list(run_search(cfg, stats=stats))
+    assert (records, stats) == full_scan(cfg, expand=lopsided_identity)
+    # u = 0, 1, 2 repeat u = -1, -2, -3; u = 3..12 are records of their own
+    assert (stats.emitted, stats.duplicates, stats.degenerate) == (22, 3, 0)
+    assert [r.uv[0] for r in records] == [*range(-12, 0), *range(3, 13)]
+
+
+def test_stats_are_current_at_every_record_of_a_reflected_relation_grid():
+    cfg = config([(1, 6, 8, 9)], u=(-30, 30), v=(0, 0), modes=(QMode(3, 5),))
+    stats = SearchStats()
+    yielded = 0
+    for record in run_search(cfg, stats=stats):
+        yielded += 1
+        assert stats.emitted == yielded
+        assert stats.evaluated == stats.degenerate + stats.duplicates + stats.emitted
+        assert stats.evaluated == record.uv[0] - cfg.u_range[0] + 1
+    assert stats.evaluated == cfg.lattice_points
+    # u = 0..29 mirror u = -1..-30; u = 30 has no mirror in the range
+    assert (stats.emitted, stats.degenerate, stats.duplicates) == (30, 2, 29)
 
 
 def test_config_refuses_an_empty_output():
