@@ -153,7 +153,8 @@ def cmd_verify(args) -> tuple[int, str]:
 
     path = Path(args.file)
     try:
-        fh = path.open(encoding="utf-8")
+        # A byte that is not UTF-8 fails its own line, not the whole file.
+        fh = path.open(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="grid search over families")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=integer)
+    p.add_argument("--threads", type=integer, help="changes nothing: the search runs on one thread")
     p.add_argument("--force", action="store_true", help="override the lattice guardrail")
     p.set_defaults(handler=cmd_search)
 

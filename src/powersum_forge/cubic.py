@@ -53,14 +53,31 @@ class BinaryQuadraticForm(NamedTuple):
         return (self.alpha, self.beta, self.gamma)
 
 
-class _CubicFields(NamedTuple):
+class _Validated:
+    """Listed first among the bases of a value type whose ``__new__``
+    validates, so that ``_make``, and with it ``_replace``, validates too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SeedFields(NamedTuple):
+    """The four integers of a seed, shared by the cubic and the square one."""
+
     a: int
     b: int
     c: int
     d: int
 
+    @property
+    def as_tuple(self) -> tuple[int, int, int, int]:
+        return (self.a, self.b, self.c, self.d)
 
-class CubicQuadruple(_CubicFields):
+
+class CubicQuadruple(_Validated, _SeedFields):
     """Nontrivial integer solution of ``a^3 + b^3 + c^3 = d^3``.
 
     Construction rejects invalid seeds outright: a zero entry, a tuple
@@ -78,14 +95,6 @@ class CubicQuadruple(_CubicFields):
         if d in (a, b, c):
             raise ValueError(f"invalid seed {(a, b, c, d)}: trivial solution (d equals a, b or c)")
         return super().__new__(cls, a, b, c, d)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
-
-    @property
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
     def scaled(self, t: int) -> "CubicQuadruple":
         """The seed scaled by a nonzero integer; still a valid solution."""

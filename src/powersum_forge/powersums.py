@@ -166,9 +166,9 @@ def s2_s1_power(k: int) -> PowerSumCombo:
 
 
 def extract_common_factor(
-    combos: Sequence[PowerSumCombo],
-) -> tuple[tuple[PowerSumCombo, ...], Fraction]:
-    """Pull the largest common rational factor out of several combos.
+    combos: Sequence[ExactCombination],
+) -> tuple[tuple[ExactCombination, ...], Fraction]:
+    """Pull the largest common rational factor out of several combos or polynomials.
 
     Returns ``(scaled, factor)`` with ``combos[i] == factor * scaled[i]``
     where the scaled combos have integer coefficients whose joint

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cubic import BinaryQuadraticForm
+from .cubic import BinaryQuadraticForm, _SeedFields, _Validated
 from .polynomials import Polynomial, powers_telescope
 from .powersums import PowerSumCombo, S, product, square
 
@@ -31,14 +31,7 @@ __all__ = [
 ]
 
 
-class _PythagoreanFields(NamedTuple):
-    a: int
-    b: int
-    c: int
-    d: int
-
-
-class PythagoreanQuadruple(_PythagoreanFields):
+class PythagoreanQuadruple(_Validated, _SeedFields):
     """Integers with ``a^2 + b^2 + c^2 = d^2``, all nonzero."""
 
     __slots__ = ()
@@ -49,14 +42,6 @@ class PythagoreanQuadruple(_PythagoreanFields):
         if a**2 + b**2 + c**2 != d**2:
             raise ValueError(f"invalid quadruple {(a, b, c, d)}: a^2 + b^2 + c^2 != d^2")
         return super().__new__(cls, a, b, c, d)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
-
-    @property
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
 
 class SquareFormQuadruple(NamedTuple):

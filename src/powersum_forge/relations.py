@@ -25,9 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .cubic import BinaryQuadraticForm, FormQuadruple, verify_cubic_identity
+from .cubic import BinaryQuadraticForm, FormQuadruple, _Validated, verify_cubic_identity
 from .exactcore import json_int
-from .polynomials import Polynomial, _strip_forced_roots, joint_content, powers_telescope
+from .polynomials import Polynomial, _strip_forced_roots, powers_telescope
 from .powersums import PowerSumCombo, extract_common_factor, product, s1_power, s2_s1_power, square
 
 __all__ = [
@@ -50,7 +50,7 @@ class _QFields(NamedTuple):
     m: int
 
 
-class QMode(_QFields):
+class QMode(_Validated, _QFields):
     """Substitute (u, v) -> (S_k, S_m)."""
 
     __slots__ = ()
@@ -59,10 +59,6 @@ class QMode(_QFields):
         if k < 1 or m < 1:
             raise ValueError("Q mode requires k >= 1 and m >= 1")
         return super().__new__(cls, k, m)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
 
     @property
     def label(self) -> str:
@@ -73,7 +69,7 @@ class _FFields(NamedTuple):
     k: int
 
 
-class FMode(_FFields):
+class FMode(_Validated, _FFields):
     """Substitute (u, v) -> (S_2, S_1^k)."""
 
     __slots__ = ()
@@ -82,10 +78,6 @@ class FMode(_FFields):
         if k < 1:
             raise ValueError("F mode requires k >= 1")
         return super().__new__(cls, k)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
 
     @property
     def label(self) -> str:
@@ -176,10 +168,8 @@ def expand_relation(cq: ComboQuadruple) -> PolyIdentity:
     failure here means the upstream combos were inconsistent and raises
     RuntimeError rather than producing a broken identity.
     """
-    exact = [c.to_polynomial() for c in cq.combos]
-    content = joint_content(exact)
-    scale = 1 / content if content else Fraction(1)
-    identity = PolyIdentity(tuple(p * scale for p in exact), scale)
+    polys, content = extract_common_factor([c.to_polynomial() for c in cq.combos])
+    identity = PolyIdentity(polys, 1 / content)
     if not powers_telescope(identity.polys, 3):
         raise RuntimeError("expanded relation failed cubic verification")
     return identity

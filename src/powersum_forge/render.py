@@ -114,7 +114,10 @@ def form_quadruple_from_json(obj: dict) -> FormQuadruple | SquareFormQuadruple:
     seed_values = obj.get("seed")
     if seed_values:
         seed_values = json_ints(seed_values, "seed", 4)
-    if obj.get("identity", "cubic") == "square":
+    identity = obj.get("identity", "cubic")
+    if identity not in ("cubic", "square"):
+        raise ValueError(f"field 'identity' must be \"cubic\" or \"square\", got {identity!r}")
+    if identity == "square":
         from .quadratic import PythagoreanQuadruple, SquareFormQuadruple
 
         seed = PythagoreanQuadruple(*seed_values) if seed_values else None

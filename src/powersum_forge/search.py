@@ -17,12 +17,26 @@ Cubic mode evaluates the reduced family with a row kernel: for each
 ``u`` it folds ``alpha*u^2`` and ``beta*u`` of every form into two
 constants, so each point costs ``A + (B + gamma*v)*v`` per form
 (:func:`cubic.evaluate_forms` is the same value, one point at a time).
-Each form is homogeneous of degree 2, so ``(u, v)`` and ``(-u, -v)``
-give the same raw tuple: with ``dedupe`` on, a cubic point whose mirror
-is in the box and earlier in scan order is not evaluated, only counted
-(degenerate if its mirror was, a duplicate otherwise).  ``evaluated``
-counts every lattice point visited, these mirrored points included, so
-records and counts are those of a full scan.
+Relation modes (``Q:k,m`` / ``F:k``) scan the integers ``u`` of
+``u_range`` and evaluate the expanded univariate identity by Horner's
+rule on its integer numerators; the record stores ``uv = [u, 0]`` for
+those, and ``v_range`` is ignored.  A value that is not a whole number
+raises RuntimeError instead of being truncated.
+
+One reflection rule serves both modes: a point ``x`` of a scan line has
+the raw tuple of ``c - x``.  Each cubic form is homogeneous of degree 2,
+so ``(u, v)`` and ``(-u, -v)`` agree: ``v`` on row ``u`` reflects to
+``-v`` on row ``-u`` (``c = 0``).  As ``S_k(-1-n) = (-1)^(k+1) S_k(n)``,
+every expanded polynomial of ``Q:k,m`` with ``k + m`` even satisfies
+``P(-1-u) = P(u)``, and those of ``F:k`` do not: ``u`` reflects to
+``-1-u`` (``c = -1``).  The search never goes by the mode's name: once
+per seed and mode it checks ``P(t) == P(-1-t)`` at ``t = 0..D``, ``D``
+the largest degree, which proves the identity exactly (a nonzero
+polynomial of degree at most ``D`` has at most ``D`` roots).  With
+``dedupe`` on, a point whose reflection is in the grid and earlier in
+scan order is not evaluated, only counted: degenerate if its reflection
+was, a duplicate otherwise.  ``evaluated`` counts every lattice point
+visited, these included, so records and counts are those of a full scan.
 
 One canonicalizer, :func:`canonicalize`, serves both the search and
 :func:`verify_record`.  One record-line encoder, a single ``%``-format
@@ -34,21 +48,6 @@ template's exact form is read by one regular expression derived from
 that template; any other line is read by ``json.loads`` and
 :meth:`SolutionRecord.from_json`, which alone word the errors, and
 every record, read either way, goes through :func:`verify_record`.
-
-Relation modes (``Q:k,m`` / ``F:k``) scan the integers ``u`` of
-``u_range`` and evaluate the expanded univariate identity by Horner's
-rule on its integer numerators; the record stores ``uv = [u, 0]`` for
-those, and ``v_range`` is ignored.  A value that is not a whole number
-raises RuntimeError instead of being truncated.  The reflection of
-``u`` is ``-1-u``: as ``S_k(-1-n) = (-1)^(k+1) S_k(n)``, every expanded
-polynomial of ``Q:k,m`` with ``k + m`` even satisfies ``P(-1-u) = P(u)``,
-and those of ``F:k`` do not.  The search never goes by the mode's name:
-once per seed and mode it checks ``P(t) == P(-1-t)`` at ``t = 0..D``,
-``D`` the largest degree, which proves the identity exactly (a nonzero
-polynomial of degree at most ``D`` has at most ``D`` roots).  When the
-check holds and ``dedupe`` is on, a point ``u >= 0`` whose reflection
-is in ``u_range`` is counted as the cubic mirrored points are, not
-evaluated, and ``evaluated`` counts it too.
 """
 
 from __future__ import annotations
@@ -62,12 +61,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .cubic import (
-    CubicQuadruple,
-    content_reduce,
-    fraction_ratio,
-    sandor_generate,
-)
+from .cubic import CubicQuadruple, _Validated, content_reduce, fraction_ratio, sandor_generate
 from .exactcore import json_int, json_ints
 from .polynomials import _horner
 from .relations import FMode, QMode, RelationMode, build_relation, expand_relation, parse_mode
@@ -252,7 +246,7 @@ class _ConfigFields(NamedTuple):
     force: bool = False
 
 
-class SearchConfig(_ConfigFields):
+class SearchConfig(_Validated, _ConfigFields):
     """Validated search parameters; ranges are inclusive."""
 
     __slots__ = ()
@@ -276,10 +270,6 @@ class SearchConfig(_ConfigFields):
         if self.output == "":
             raise ValueError("search config field 'output' must name a file, or be null for stdout")
         return self
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
 
     @property
     def lattice_points(self) -> int:
@@ -307,7 +297,7 @@ class SearchConfig(_ConfigFields):
     def from_file(cls, path: str | Path) -> "SearchConfig":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read search config {path}: {exc}") from exc
         try:
             obj = json.loads(text)
@@ -369,13 +359,9 @@ def run_search(
     (0, 0)) are skipped and counted in ``stats.degenerate``.  With
     ``dedupe`` enabled, only the first occurrence of each canonical
     quadruple is emitted, so every distinct one is held in memory until
-    the run ends; a cubic point whose mirror ``(-u, -v)`` was visited
-    earlier is classified without arithmetic, as its raw tuple is the
-    mirror's, and so is a relation point ``u`` whose reflection
-    ``-1-u`` was, once the exact ``D + 1``-point check has proven
-    ``P(-1-t) == P(t)`` for every expanded polynomial of that seed and
-    mode (in practice ``Q:k,m`` with ``k + m`` even, never ``F:k``).
-    ``stats.evaluated`` counts every lattice point visited, mirrored
+    the run ends, and a point whose reflection was visited earlier is
+    counted without arithmetic (see the module docstring).
+    ``stats.evaluated`` counts every lattice point visited, reflected
     points included, and every count is current at each record
     yielded.  The guardrail on total lattice points is checked eagerly,
     before any evaluation.  ``threads`` is accepted for compatibility
@@ -397,9 +383,9 @@ def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionReco
     for seed in cfg.seeds:
         ratio = fraction_ratio(seed)
         for mode in cfg.modes:
-            # With dedupe on, a point whose mirror came earlier is counted
-            # by _evaluate_family, not evaluated: zeros keeps, by u, the v
-            # of the degenerate points scanned so far.
+            # With dedupe on, a point whose reflection came earlier is
+            # counted by _evaluate_family, not evaluated: zeros keeps, by
+            # u, the v of the degenerate points scanned so far.
             zeros: dict[int, list[int]] | None = {} if cfg.dedupe else None
             for uv, raw in _evaluate_family(seed, mode, cfg, zeros, stats):
                 stats.evaluated += 1
@@ -419,68 +405,36 @@ def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionReco
                 yield SolutionRecord(seed, uv, raw, reduced, content, ratio, taxicab)
 
 
-def _count_mirrored(stats: SearchStats, lo: int, hi: int, mirrored_zeros: Iterable[int]) -> None:
-    """Count the points ``lo..hi`` of one line, each of whose mirror was
-    scanned earlier, into ``stats`` without evaluating them.
+def _skip_reflected(
+    line: range,
+    lo: int,
+    hi: int,
+    centre: int,
+    zeros: Iterable[int],
+    stats: SearchStats,
+) -> Iterator[range]:
+    """The two segments of ``line`` left to evaluate once its points
+    ``lo..hi`` (clipped to the line), each the reflection ``centre - x``
+    of a point ``x`` scanned earlier, are taken out.
 
-    A point is degenerate if its mirror was (``mirrored_zeros`` holds the
-    images, on this line, of the degenerate points scanned so far) and a
-    duplicate otherwise, as its mirror's canonical quadruple is already seen.
+    Those points are counted into ``stats`` when the second segment is
+    asked for, which the caller does only after the consumer has taken
+    every point of the first: one is degenerate if its reflection was
+    (``zeros`` holds the degenerate ``x`` and is read only then, as a
+    line may reflect into its own first segment) and a duplicate
+    otherwise, as its reflection's canonical quadruple is already seen.
     """
+    lo, hi = max(lo, line.start), min(hi, line.stop - 1)
+    if lo > hi:
+        yield line
+        return
+    yield range(line.start, lo)
     n = hi - lo + 1
-    degenerate = sum(lo <= x <= hi for x in mirrored_zeros)
+    degenerate = sum(lo <= centre - x <= hi for x in zeros)
     stats.evaluated += n
     stats.degenerate += degenerate
     stats.duplicates += n - degenerate
-
-
-def _unmirrored_rows(
-    cfg: SearchConfig,
-    stats: SearchStats,
-    zeros: dict[int, list[int]],
-) -> Iterator[tuple[int, range]]:
-    """The ``(u, v_range)`` segments of the cubic box left to evaluate once
-    the points whose mirror ``(-u, -v)`` is in the box and earlier in scan
-    order (``u > 0``, or ``u = 0 < v``) are taken out.
-
-    Those points form one interval of ``v`` per row, between this row's two
-    segments.  They are counted by :func:`_count_mirrored` when the second
-    segment is asked for, which the row kernel does only after the consumer
-    has taken every point of the first.
-    """
-    (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
-    for u in range(u_lo, u_hi + 1):
-        lo, hi = max(v_lo, -v_hi), min(v_hi, -v_lo)
-        if u == 0:
-            lo = max(lo, 1)
-        if u < 0 or -u < u_lo or lo > hi:
-            yield u, range(v_lo, v_hi + 1)
-            continue
-        yield u, range(v_lo, lo)
-        _count_mirrored(stats, lo, hi, (-v for v in zeros.get(-u, ())))
-        yield u, range(hi + 1, v_hi + 1)
-
-
-def _unreflected_points(
-    cfg: SearchConfig,
-    stats: SearchStats,
-    zeros: dict[int, list[int]],
-) -> Iterator[range]:
-    """The ``u`` segments of a relation grid left to evaluate once the points
-    whose reflection ``-1-u`` is in ``u_range`` and earlier in scan order
-    (``u >= 0``) are taken out.
-
-    Those points form one interval, counted by :func:`_count_mirrored` when
-    the second segment is asked for; ``zeros`` holds the degenerate ``u``.
-    """
-    u_lo, u_hi = cfg.u_range
-    lo, hi = max(u_lo, 0), min(u_hi, -1 - u_lo)
-    if lo > hi:
-        yield range(u_lo, u_hi + 1)
-        return
-    yield range(u_lo, lo)
-    _count_mirrored(stats, lo, hi, (-1 - u for u in zeros))
-    yield range(hi + 1, u_hi + 1)
+    yield range(hi + 1, line.stop)
 
 
 def _reflection_holds(nums: Sequence[Sequence[int]]) -> bool:
@@ -504,44 +458,46 @@ def _evaluate_family(
     """``(uv, raw)`` at each point of the family's grid, in scan order.
 
     Given ``zeros`` (dedupe on; the caller's record of degenerate points)
-    and ``stats``, a point whose mirror is in the grid and earlier in scan
-    order is not yielded but counted into ``stats``: in cubic mode the
-    mirror of ``(u, v)`` is ``(-u, -v)``; in a relation mode it is
-    ``(-1-u, 0)``, and only when :func:`_reflection_holds` for the
-    expanded identity, so that the two raw tuples are equal.
+    and ``stats``, a point whose reflection is in the grid and earlier in
+    scan order is not yielded but counted into ``stats`` by
+    :func:`_skip_reflected` (the rule is in the module docstring).
     """
     u_lo, u_hi = cfg.u_range
     family, _ = content_reduce(sandor_generate(seed))
     if mode == "cubic":
-        if zeros is None:
-            row = range(cfg.v_range[0], cfg.v_range[1] + 1)
-            rows = ((u, row) for u in range(u_lo, u_hi + 1))
-        else:
-            rows = _unmirrored_rows(cfg, stats, zeros)
+        v_lo, v_hi = cfg.v_range
+        row = range(v_lo, v_hi + 1)
         # Row kernel: q_i(u, v) = alpha_i*u^2 + beta_i*u*v + gamma_i*v^2
         # is A_i + (B_i + gamma_i*v)*v with A_i = alpha_i*u^2 and
         # B_i = beta_i*u fixed for the whole row.
         (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = family.coefficient_rows
-        for u, vs in rows:
+        for u in range(u_lo, u_hi + 1):
             uu = u * u
             A1, A2, A3, A4 = a1 * uu, a2 * uu, a3 * uu, a4 * uu
             B1, B2, B3, B4 = b1 * u, b2 * u, b3 * u, b4 * u
-            for v in vs:
-                yield (u, v), (
-                    A1 + (B1 + c1 * v) * v,
-                    A2 + (B2 + c2 * v) * v,
-                    A3 + (B3 + c3 * v) * v,
-                    A4 + (B4 + c4 * v) * v,
-                )
+            if zeros is None or not 0 <= u <= -u_lo:
+                segments = (row,)
+            else:  # row -u is in the box; row 0 reflects into its own v < 0,
+                # so it gets the list it is still filling, not a copy
+                lo = -v_hi if u else 1
+                segments = _skip_reflected(row, lo, -v_lo, 0, zeros.setdefault(-u, []), stats)
+            for vs in segments:
+                for v in vs:
+                    yield (u, v), (
+                        A1 + (B1 + c1 * v) * v,
+                        A2 + (B2 + c2 * v) * v,
+                        A3 + (B3 + c3 * v) * v,
+                        A4 + (B4 + c4 * v) * v,
+                    )
     else:
         identity = expand_relation(build_relation(family, mode))
         n1, n2, n3, n4 = nums = [p._num for p in identity.polys]
         dens = [p._den for p in identity.polys]
         whole = dens == [1, 1, 1, 1]
+        line = range(u_lo, u_hi + 1)
+        segments = (line,)
         if zeros is not None and _reflection_holds(nums):
-            segments = _unreflected_points(cfg, stats, zeros)
-        else:
-            segments = (range(u_lo, u_hi + 1),)
+            segments = _skip_reflected(line, 0, -1 - u_lo, -1, zeros, stats)
         for us in segments:
             for u in us:
                 raw = _horner(n1, u), _horner(n2, u), _horner(n3, u), _horner(n4, u)
@@ -649,10 +605,12 @@ def _record_from_groups(groups: tuple[str | None, ...]) -> SolutionRecord:
 
 
 def load_records(path: str | Path) -> list[SolutionRecord]:
-    """Read a JSONL solutions file, re-verifying each record."""
+    """Read a JSONL solutions file, re-verifying each record; the first
+    bad line, a byte that is not UTF-8 included, raises ValueError naming
+    ``path:lineno``."""
     out: list[SolutionRecord] = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, item in scan_records(fh):
                 if isinstance(item, Exception):
                     raise ValueError(f"{path}:{lineno}: {item}") from item

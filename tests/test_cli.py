@@ -464,6 +464,48 @@ def test_verify_malformed_form_file_is_usage_error(capsys, tmp_path, obj, field)
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("identity", [["x"], "Cubic", "", None, 3])
+def test_verify_form_file_with_an_unknown_identity_is_usage_error(capsys, tmp_path, identity):
+    obj = run_json(capsys, "sandor", "1", "6", "8", "9", "--reduce")
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps({**obj, "identity": identity}), encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'identity'" in err
+
+
+def test_verify_form_file_without_an_identity_is_cubic(capsys, tmp_path):
+    obj = run_json(capsys, "sandor", "1", "6", "8", "9", "--reduce")
+    del obj["identity"]
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out)["identity"] == "cubic"
+
+
+def test_verify_jsonl_reports_a_line_that_is_not_utf8_and_reads_on(capsys, tmp_path):
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [-1, 1], "v_range": [1, 3], "dedupe": False}
+    _, out, _ = run(capsys, "search", "--config", write_config(tmp_path, cfg))
+    lines = out.encode().split(b"\n")
+    assert len(lines) == 9
+    lines[3] = lines[3].replace(b",", b"\xff", 1)
+    path = tmp_path / "bytes.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["records"] == 9
+    assert len(report["failures"]) == 1 and report["failures"][0].startswith("line 4:")
+
+
+def test_search_config_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": [0, 1], "x": "\xff"}')
+    code, out, err = run(capsys, "search", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read search config {path}")
+
+
 # deeper than any recursion limit, so json.loads raises RecursionError
 DEEP = "[" * 200_000
 

@@ -793,6 +793,16 @@ def test_load_records_single_record(tmp_path):
     assert load_records(path) == [record]
 
 
+def test_load_records_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "out.jsonl"
+    assert write_records(run_search(config([(1, 6, 8, 9)], u=(1, 3), v=(1, 3))), path) > 2
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+        load_records(path)
+
+
 def test_verify_record_checks_ratio():
     record = SolutionRecord(
         seed=CubicQuadruple(1, 6, 8, 9),

@@ -1,12 +1,13 @@
 """The value types are NamedTuples: field order, repr, hash, immutability and
 validation, in the constructor and in ``_replace`` alike."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
 from powersum_forge.cubic import BinaryQuadraticForm, CubicQuadruple, FormQuadruple, sandor_generate
-from powersum_forge.quadratic import PythagoreanQuadruple, SquareFormQuadruple
+from powersum_forge.quadratic import PythagoreanQuadruple, SquareFormQuadruple, piezas_generate
 from powersum_forge.relations import ComboQuadruple, FMode, PolyIdentity, QMode
 from powersum_forge.search import SearchConfig, SearchStats, SolutionRecord
 
@@ -91,3 +92,29 @@ def test_solution_record_compares_as_a_tuple():
     record = SolutionRecord(SEED, (1, 0), (1, 6, 8, 9), (1, 6, 8, 9), 1, Fraction(3, 1), None)
     assert record == tuple(record)
     assert record.seed is SEED
+
+
+@pytest.mark.parametrize(
+    "cls, signature",
+    [
+        (CubicQuadruple, "(a: 'int', b: 'int', c: 'int', d: 'int')"),
+        (PythagoreanQuadruple, "(a: 'int', b: 'int', c: 'int', d: 'int')"),
+        (QMode, "(k: 'int', m: 'int')"),
+        (FMode, "(k: 'int')"),
+    ],
+    ids=lambda x: x.__name__ if isinstance(x, type) else "",
+)
+def test_a_shared_base_keeps_each_constructor_signature(cls, signature):
+    assert str(inspect.signature(cls)) == signature
+
+
+def test_the_seed_types_share_their_fields_but_stay_apart():
+    square = PythagoreanQuadruple(2, 3, 6, 7)
+    assert PythagoreanQuadruple is not CubicQuadruple
+    assert not isinstance(square, CubicQuadruple) and not isinstance(SEED, PythagoreanQuadruple)
+    assert repr(square) == "PythagoreanQuadruple(a=2, b=3, c=6, d=7)"
+    assert repr(SEED) == "CubicQuadruple(a=1, b=6, c=8, d=9)"
+    assert (square.as_tuple, SEED.as_tuple) == ((2, 3, 6, 7), (1, 6, 8, 9))
+    # render and cli verify tell a square family from a cubic one by isinstance
+    assert not isinstance(piezas_generate(square), FormQuadruple)
+    assert not isinstance(sandor_generate(SEED), SquareFormQuadruple)
