@@ -10,15 +10,26 @@ Each handler imports the modules it runs when it runs, so a call pays
 only for its own subcommand: ``relation`` never loads ``search`` or
 ``quadratic``.  Every integer argument is read as :func:`json_int`
 reads a decimal string, an optional sign and ASCII digits.
+
+``verify`` reads its file as bytes, in blocks that each end on a line's
+end, and never seeks, so it reads a pipe as it reads a file.  Each block
+is decoded as the whole file would be and checked by
+:func:`search.scan_records`; the blocks' counts and failures are merged
+in order, their line numbers offset, so the report is the same bytes
+however the file is cut.  A regular file of more than one block is
+checked on a pool of forked processes, up to one for each CPU.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
 import os
+import stat
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 from . import render
 from .exactcore import bernoulli, json_int
@@ -126,25 +137,97 @@ def cmd_sandor(args) -> tuple[int, str]:
     return OK, _emit(render.form_quadruple_to_json(fq, content=content))
 
 
-def _form_document(fh) -> dict | None:
-    """The form-quadruple object a file holds, or None for a JSONL file.
+#: Bytes ``verify`` reads of a JSONL file at a time; each block it checks
+#: runs on to the end of the line they end in.
+_BLOCK_BYTES = 1 << 20
+
+
+def _blocks(raw: BinaryIO) -> Iterator[bytes]:
+    """A binary stream in blocks of ``_BLOCK_BYTES`` and the rest of the
+    line they end in: a block holds whole lines, so neither a ``\\r\\n`` nor
+    a UTF-8 sequence straddles two blocks."""
+    while block := raw.read(_BLOCK_BYTES):
+        if not block.endswith(b"\n"):
+            block += raw.readline()
+        yield block
+
+
+def _text(block: bytes) -> io.TextIOWrapper:
+    """The lines of a block, decoded as a text file is opened for ``verify``:
+    UTF-8 with universal newlines, where a byte that is not UTF-8 becomes a
+    surrogate escape and fails only its own line."""
+    return io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", errors="surrogateescape")
+
+
+def _check_block(block: bytes) -> tuple[int, int, list[tuple[int, str]]]:
+    """A block's count of lines and of records, and ``(line, message)`` for
+    each record that fails, its line numbered from 1 in the block."""
+    from .search import scan_records
+
+    lines = _text(block).readlines()
+    records = 0
+    failures = []
+    for lineno, item in scan_records(lines):
+        records += 1
+        if isinstance(item, Exception):
+            failures.append((lineno, str(item)))
+    return len(lines), records, failures
+
+
+def _check_blocks(
+    blocks: Iterable[bytes], raw: BinaryIO
+) -> list[tuple[int, int, list[tuple[int, str]]]]:
+    """:func:`_check_block` of each block, in order.
+
+    A regular file of more than one block is checked on a pool of forked
+    processes, one for each CPU this process may run on and at most one
+    for each block; anything else, a pipe included, in this process.  The
+    CLI starts no thread before the pool, so ``fork`` is safe here, and a
+    forked worker starts with the modules loaded instead of importing them.
+    """
+    info = os.fstat(raw.fileno())
+    workers = 1
+    if stat.S_ISREG(info.st_mode) and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), -(-info.st_size // _BLOCK_BYTES))
+    if workers > 1:
+        import multiprocessing  # here only, so a small file or a pipe never loads it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from . import search  # noqa: F401  (loaded once here, not in each worker)
+
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                results = list(pool.imap(_check_block, blocks))
+                pool.close()
+                pool.join()
+            return results
+    return list(map(_check_block, blocks))
+
+
+def _read_lines(blocks: Iterator[bytes], read: list[bytes]) -> Iterator[str]:
+    """The lines of ``blocks``, each block appended to ``read`` as it is reached."""
+    for block in blocks:
+        read.append(block)
+        yield from _text(block)
+
+
+def _form_document(lines: Iterator[str]) -> dict | None:
+    """The form-quadruple object a file's lines hold, or None for a JSONL file.
 
     A form file is one object with a ``q`` key, on one line or
     pretty-printed; it is read whole only when its first line is not a
     complete value and its second does not open a new object.
     """
-    first = next((line for line in fh if line.strip()), "")
+    first = next((line for line in lines if line.strip()), "")
     try:
         obj = json.loads(first)
     except (ValueError, RecursionError):  # RecursionError: nested too deeply
         obj = None
-        second = fh.readline()
+        second = next(lines, "")
         if not second.startswith("{"):
             try:
-                obj = json.loads(first + second + fh.read())
+                obj = json.loads(first + second + "".join(lines))
             except (ValueError, RecursionError):
                 pass
-    fh.seek(0)
     return obj if isinstance(obj, dict) and "q" in obj else None
 
 
@@ -153,21 +236,24 @@ def cmd_verify(args) -> tuple[int, str]:
 
     path = Path(args.file)
     try:
-        # A byte that is not UTF-8 fails its own line, not the whole file.
-        fh = path.open(encoding="utf-8", errors="surrogateescape")
+        raw = path.open("rb")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        obj = _form_document(fh)
+    with raw:
+        blocks = _blocks(raw)
+        read: list[bytes] = []
+        obj = _form_document(_read_lines(blocks, read))
         if obj is None:
-            from .search import scan_records
-
+            # Check from the first line again without seeking, as a pipe
+            # cannot; the chain drops the blocks read once it is past them.
+            blocks = itertools.chain(read, blocks)
+            del read
             failures: list[str] = []
-            count = 0
-            for lineno, item in scan_records(fh):
-                count += 1
-                if isinstance(item, Exception):
-                    failures.append(f"line {lineno}: {item}")
+            count = offset = 0
+            for lines, records, failed in _check_blocks(blocks, raw):
+                failures += [f"line {offset + lineno}: {message}" for lineno, message in failed]
+                count += records
+                offset += lines
             ok = not failures
             return (OK if ok else VERIFICATION_FAILED), _emit(
                 {"file": str(path), "records": count, "verified": ok, "failures": failures}

@@ -45,9 +45,12 @@ stdout; :func:`scan_records` reads those lines back and re-verifies
 each one, taking a seed's :class:`CubicQuadruple` and ratio from one
 small cache keyed on its integers, :func:`_seed_state`.  A line in the
 template's exact form is read by one regular expression derived from
-that template; any other line is read by ``json.loads`` and
-:meth:`SolutionRecord.from_json`, which alone word the errors, and
-every record, read either way, goes through :func:`verify_record`.
+that template, and takes the seed and ratio of the template line before
+it when their strings are the same; any other line is read by
+``json.loads`` and :meth:`SolutionRecord.from_json`, which alone word
+the errors, and every record, read either way, goes through
+:func:`verify_record`.  The lines are independent of each other, so
+``verify`` scans a large file's blocks of lines in parallel processes.
 """
 
 from __future__ import annotations
@@ -561,14 +564,19 @@ def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | E
 
     Yields ``(line_number, record)`` for every non-blank line; a line
     that fails to decode or verify yields its exception in place of the
-    record, and scanning goes on.  Only one line is held in memory at a time.
+    record, and scanning goes on.  It holds no more than the line it is
+    on, so its memory is that of whatever holds ``lines``: one line for
+    an open file, one block of lines for ``verify`` on a large file.
 
     A line exactly as :func:`write_records` writes it is decoded by
     ``_RECORD_PATTERN``; every other line, and one whose fields the
     pattern's decoder cannot convert, goes through ``json.loads`` and
-    :meth:`SolutionRecord.from_json`.
+    :meth:`SolutionRecord.from_json`.  A template line whose seed and
+    ratio strings are those of the template line before it takes that
+    line's seed and ratio without reading them again.
     """
     match = re.compile(_RECORD_PATTERN).match  # cached by re after the first call
+    seed_text = seed_state = None  # the last template line's seed and ratio strings, read
     for lineno, line in enumerate(lines, start=1):
         template = match(line)
         if template is None and not line.strip():
@@ -576,8 +584,13 @@ def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | E
         try:
             record = None
             if template is not None:
+                groups = template.groups()
                 try:
-                    record = _record_from_groups(template.groups())
+                    text = groups[:4] + groups[15:17]
+                    if text != seed_text:
+                        seed_state = _template_seed(text)
+                        seed_text = text
+                    record = _record_from_groups(groups, seed_state)
                 except (ArithmeticError, ValueError):
                     pass  # reported by from_json below, in its own words
             if record is None:
@@ -592,16 +605,30 @@ def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | E
             yield lineno, record
 
 
-def _record_from_groups(groups: tuple[str | None, ...]) -> SolutionRecord:
-    """The record of one ``_RECORD_PATTERN`` match, as :meth:`SolutionRecord.from_json`
-    would build it from the same line.  Raises ValueError for a field over
-    ``int``'s digit limit, and as :func:`_seed_state` or ``Fraction`` do."""
-    ints = tuple(map(int, groups if groups[17] is not None else groups[:17]))
-    seed, ratio = _seed_state(ints[:4])
-    if ints[15] != ratio.numerator or ints[16] != ratio.denominator:
-        ratio = Fraction(ints[15], ints[16])
-    taxicab = ints[17] if len(ints) > 17 else None
-    return SolutionRecord(seed, ints[4:6], ints[6:10], ints[10:14], ints[14], ratio, taxicab)
+def _template_seed(text: tuple[str, ...]) -> tuple[CubicQuadruple, Fraction]:
+    """The seed and ratio of a template line's four seed and two ratio
+    strings, as :meth:`SolutionRecord.from_json` reads them: the ratio of
+    :func:`_seed_state` when the line's own matches it term for term.
+    Raises ValueError for a field over ``int``'s digit limit, and as
+    :func:`_seed_state` or ``Fraction`` do."""
+    a, b, c, d, num, den = map(int, text)
+    seed, ratio = _seed_state((a, b, c, d))
+    if num != ratio.numerator or den != ratio.denominator:
+        ratio = Fraction(num, den)
+    return seed, ratio
+
+
+def _record_from_groups(
+    groups: tuple[str | None, ...], seed_state: tuple[CubicQuadruple, Fraction]
+) -> SolutionRecord:
+    """The record of one ``_RECORD_PATTERN`` match whose seed and ratio
+    :func:`_template_seed` has read; raises ValueError for a field over
+    ``int``'s digit limit."""
+    u, v, r1, r2, r3, r4, x1, x2, x3, x4, content = map(int, groups[4:15])
+    taxicab = None if groups[17] is None else int(groups[17])
+    seed, ratio = seed_state
+    fields = seed, (u, v), (r1, r2, r3, r4), (x1, x2, x3, x4), content, ratio, taxicab
+    return SolutionRecord._make(fields)
 
 
 def load_records(path: str | Path) -> list[SolutionRecord]:

@@ -3,9 +3,11 @@ import hashlib
 import io
 import itertools
 import json
+import multiprocessing.pool
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powersum_forge
+from powersum_forge import cli
 from powersum_forge.cli import main
 from powersum_forge.cubic import CubicQuadruple
-from powersum_forge.search import SearchConfig, run_search, write_records
+from powersum_forge.search import SearchConfig, run_search, scan_records, write_records
 
 from goldens import EQ6_LATEX, EQ19_LATEX, EQ24_QUARTICS, TABLE1, squash
 
@@ -812,3 +815,184 @@ def test_search_config_with_empty_output_is_usage_error(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "'output'" in err
     assert "Traceback" not in err
+
+
+# --- verify in newline-aligned blocks, serially or on a pool ------------------------
+
+
+def serial_verify(path: str) -> tuple[int, str]:
+    """``verify``'s exit code and stdout for a JSONL file, from one
+    :func:`scan_records` pass over the whole file opened as text."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        items = list(scan_records(fh))
+    failures = [f"line {lineno}: {item}" for lineno, item in items if isinstance(item, Exception)]
+    report = {"file": path, "records": len(items), "verified": not failures, "failures": failures}
+    return int(bool(failures)), json.dumps(report, indent=2) + "\n"
+
+
+def pool_sizes(monkeypatch, cpus: int) -> list[int]:
+    """Let this process run on ``cpus`` CPUs; the list returned gets the
+    worker count of each pool that checks blocks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    sizes: list[int] = []
+    imap = multiprocessing.pool.Pool.imap
+
+    def spy(self, *args, **kwargs):
+        sizes.append(self._processes)
+        return imap(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", spy)
+    return sizes
+
+
+def boundary_jsonl() -> bytes:
+    """Record lines with one line ending at byte 64 and one at byte 4096."""
+    good = mixed_jsonl().encode().split(b"\n")[0]
+    out = b"x" * 63 + b"\n"
+    while len(out) + 2 * (len(good) + 1) <= 4096:
+        out += good + b"\n"
+    out += good + b" " * (4096 - len(out) - len(good) - 1) + b"\n"
+    assert len(out) == 4096
+    return out + (good + b"\n") * 3
+
+
+def verify_files() -> dict[str, bytes]:
+    mixed = mixed_jsonl()
+    lines = mixed.encode().split(b"\n")
+    lines[2] = lines[2].replace(b",", b"\xff", 1)  # a byte that is not UTF-8
+    lines[4] += b"\xe2\x82"  # a UTF-8 sequence cut short by the newline
+    lines[6] = lines[6].replace(b'"6"', '"é"'.encode(), 1)
+    return {
+        "mixed": mixed.encode(),
+        "crlf": mixed.replace("\n", "\r\n").encode(),
+        "lone-cr": mixed.replace("\n", "\r").encode(),
+        "blank-lines": ("\n \n" + mixed.replace("\n", "\n\n\t\n")).encode(),
+        "not-utf8": b"\n".join(lines),
+        "no-final-newline": mixed.rstrip("\n").encode(),
+        "block-boundary": boundary_jsonl(),
+        "empty": b"",
+    }
+
+
+VERIFY_FILES = sorted(verify_files())
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+@pytest.mark.parametrize("name", VERIFY_FILES)
+def test_verify_in_blocks_reports_as_one_serial_scan(capsys, monkeypatch, tmp_path, name, block, cpus):
+    path = tmp_path / f"{name}.jsonl"
+    path.write_bytes(verify_files()[name])
+    expected = serial_verify(str(path))
+    sizes = pool_sizes(monkeypatch, cpus)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    code = main(["verify", str(path)])
+    assert (code, capsys.readouterr().out) == expected
+    assert sizes == ([2] if cpus == 2 and path.stat().st_size > block else [])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_report_of_a_mixed_file_is_pinned_in_tiny_blocks(capsys, tmp_path, monkeypatch, cpus):
+    monkeypatch.chdir(tmp_path)
+    Path("mixed.jsonl").write_text(mixed_jsonl(), encoding="utf-8")
+    sizes = pool_sizes(monkeypatch, cpus)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 7)
+    code = main(["verify", "mixed.jsonl"])
+    out = capsys.readouterr().out
+    assert code == 1 and len(sizes) == cpus - 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2e5cf71ddd898170da240b1599477fea1b4e0b0114950421e358592a631f5fca"
+    )
+
+
+def test_verify_in_blocks_leaves_no_worker_and_runs_again(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(mixed_jsonl(), encoding="utf-8")
+    sizes = pool_sizes(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
+    reports = []
+    for _ in range(2):
+        reports.append((main(["verify", str(path)]), capsys.readouterr().out))
+        assert multiprocessing.active_children() == []
+    assert sizes == [2, 2]
+    assert reports[0] == reports[1] == serial_verify(str(path))
+
+
+#: Runs ``verify`` on two CPUs whatever the machine has, then reports
+#: whether a child process is left, running or not yet reaped.
+NO_CHILD_PROBE = """
+import os, sys
+from powersum_forge import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(["verify", sys.argv[1]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child process")
+print("pool", "multiprocessing" in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_verify_subprocess_leaves_no_process_running(tmp_path):
+    cfg = SearchConfig(seeds=(CubicQuadruple(1, 6, 8, 9),), u_range=(-6, 6), v_range=(-6, 6))
+    buf = io.StringIO()
+    write_records(run_search(cfg), buf)
+    path = tmp_path / "large.jsonl"
+    copies = 2 * cli._BLOCK_BYTES // len(buf.getvalue()) + 1
+    path.write_text(buf.getvalue() * copies, encoding="utf-8")
+    assert path.stat().st_size > 2 * cli._BLOCK_BYTES
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # run() returns once stdout is closed, which a worker left running would hold open
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_CHILD_PROBE, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, tail = proc.stdout.split("}\n")
+    assert json.loads(report + "}")["verified"] is True
+    assert tail == "no child process\npool True\n"
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "form", "pretty-form"])
+def test_verify_reads_a_pipe(capsys, tmp_path, kind):
+    if kind == "jsonl":
+        data = mixed_jsonl().encode()
+    else:
+        form = run_json(capsys, "sandor", "1", "6", "8", "9", "--reduce")
+        data = json.dumps(form, indent=2 if kind == "pretty-form" else None).encode() + b"\n"
+    path = tmp_path / "data"
+    path.write_bytes(data)
+    code, out, _ = run(capsys, "verify", str(path))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "powersum_forge", "verify", "/dev/stdin"],
+        input=data,
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert json.loads(proc.stdout) == {**json.loads(out), "file": "/dev/stdin"}
+
+
+def test_verify_reads_a_fifo_in_blocks_in_this_process(capsys, monkeypatch, tmp_path):
+    data = verify_files()["crlf"]
+    regular = tmp_path / "mixed.jsonl"
+    regular.write_bytes(data)
+    code, out = serial_verify(str(regular))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    sizes = pool_sizes(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 7)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    assert main(["verify", str(fifo)]) == code
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    expected = json.dumps({**json.loads(out), "file": str(fifo)}, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+    assert sizes == []

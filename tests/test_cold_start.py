@@ -88,3 +88,17 @@ def test_unknown_name_is_attribute_error_and_submodules_still_import():
     from powersum_forge import cli
 
     assert cli is sys.modules["powersum_forge.cli"]
+
+
+def test_import_and_a_small_verify_load_no_multiprocessing(tmp_path, bare_modules):
+    from powersum_forge.cubic import CubicQuadruple
+    from powersum_forge.search import SearchConfig, run_search, write_records
+
+    path = tmp_path / "small.jsonl"
+    cfg = SearchConfig(seeds=(CubicQuadruple(1, 6, 8, 9),), u_range=(-3, 3), v_range=(-3, 3))
+    write_records(run_search(cfg), str(path))
+    imported = loaded_modules("import sys, powersum_forge; print(' '.join(sys.modules))")
+    verified = loaded_modules(PROBE, "verify", str(path))
+    assert "powersum_forge.search" in verified
+    if "multiprocessing" not in bare_modules:
+        assert "multiprocessing" not in imported | verified

@@ -1054,6 +1054,41 @@ def test_scan_records_matches_json_loads_on_record_lines(line):
     assert scanned(line) == reference_scan(line)
 
 
+@given(st.lists(line_variants(), min_size=2, max_size=8))
+def test_scan_records_of_many_lines_matches_each_line_alone(lines):
+    """A template line may take the seed and ratio read for the line before
+    it; the records and errors are still those of each line on its own."""
+    items = list(scan_records(lines))
+    assert [n for n, _ in items] == list(range(1, len(lines) + 1))
+    got = [(type(x), str(x)) if isinstance(x, Exception) else x for _, x in items]
+    assert got == [scanned(line) for line in lines]
+
+
+@pytest.mark.parametrize(
+    "path", [("seed", 0), ("ratio", "num"), ("ratio", "den"), ("uv", 1), ("taxicab",)]
+)
+def test_scan_records_words_a_field_too_long_for_int_after_a_line_of_its_seed_as_from_json(path):
+    line = encode([r for r in FOUND_RECORDS if r.taxicab][:1])
+    bad = json.dumps(with_field(json.loads(line), path, "9" * 5000), separators=(",", ":")) + "\n"
+    assert re.compile(search._RECORD_PATTERN).match(bad)
+    items = list(scan_records([line, bad, line]))
+    assert [type(x) for _, x in items] == [SolutionRecord, ValueError, SolutionRecord]
+    assert (ValueError, str(items[1][1])) == reference_scan(bad)
+    assert items[0][1] == items[2][1]
+
+
+@pytest.mark.parametrize("ratio", [("4", "1"), ("6", "2"), ("3", "0"), ("007", "1")])
+def test_scan_records_reads_the_ratio_of_each_template_line_of_one_seed(ratio):
+    line = encode(FOUND_RECORDS[:1])
+    obj = json.loads(line)
+    assert obj["ratio"] == {"num": "3", "den": "1"}
+    other = json.dumps({**obj, "ratio": dict(zip(("num", "den"), ratio))}, separators=(",", ":")) + "\n"
+    assert re.compile(search._RECORD_PATTERN).match(other)
+    lines = [line, other, line, other]
+    got = [(type(x), str(x)) if isinstance(x, Exception) else x for _, x in scan_records(lines)]
+    assert got == [scanned(x) for x in lines]
+
+
 def test_record_pattern_matches_encoder_lines_only():
     line = encode(FOUND_RECORDS[:1])
     match = re.compile(search._RECORD_PATTERN).match
