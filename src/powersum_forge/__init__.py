@@ -77,6 +77,7 @@ _EXPORTS = {
         "detect_taxicab",
         "run_search",
         "write_records",
+        "write_search",
         "load_records",
         "verify_record",
     ),

@@ -51,6 +51,17 @@ def integer(text: str) -> int:
     return json_int(text, "argument")
 
 
+def positive(text: str) -> int:
+    """An integer argument of at least 1."""
+    try:
+        value = integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _parse_csv_ints(text: str, count: int, what: str) -> tuple[int, ...]:
     """``count`` comma-separated integers, whitespace around each ignored;
     each is an optional sign and ASCII digits, as :func:`json_int` reads it."""
@@ -372,17 +383,16 @@ def cmd_quad(args) -> tuple[int, str]:
 
 
 def cmd_search(args) -> tuple[int, str]:
-    from .search import SearchConfig, SearchStats, run_search, write_records
+    from .search import SearchConfig, SearchStats, write_search
 
     cfg = SearchConfig.from_file(args.config)
     if args.force:
         cfg = cfg._replace(force=True)
     stats = SearchStats()
-    records = run_search(cfg, stats=stats, threads=args.threads)
     if cfg.output is not None:
-        write_records(records, cfg.output)
+        write_search(cfg, cfg.output, stats)
         return OK, _emit({"output": cfg.output, **_search_summary(stats)})
-    write_records(records, sys.stdout)
+    write_search(cfg, sys.stdout, stats)
     print(_emit(_search_summary(stats)), file=sys.stderr)
     return OK, ""
 
@@ -449,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="grid search over families")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=integer, help="changes nothing: the search runs on one thread")
+    p.add_argument(
+        "--threads", type=positive, help="at least 1; changes nothing: the search runs on one thread"
+    )
     p.add_argument("--force", action="store_true", help="override the lattice guardrail")
     p.set_defaults(handler=cmd_search)
 

@@ -38,17 +38,33 @@ scan order is not evaluated, only counted: degenerate if its reflection
 was, a duplicate otherwise.  ``evaluated`` counts every lattice point
 visited, these included, so records and counts are those of a full scan.
 
+Cubic mode with ``dedupe`` on has a second rule, the line rule, for a
+point ``p = (u, v)`` before ``(0, 0)`` in scan order (``u < 0``, or
+``u = 0`` and ``v < 0``) whose raw tuple has no zero entry.  With
+``g = gcd(u, v)``, if ``p + p/g`` is in the grid, ``p`` is counted as a
+duplicate without being canonicalized.  Proof: ``p = g*d`` for a
+primitive ``d``, and ``p + p/g = (g+1)*d`` comes earlier in scan order;
+their raw tuples are ``g^2*raw(d)`` and ``(g+1)^2*raw(d)``, with the
+same canonical quadruple and the same zero entries.  ``(g+1)*d`` is
+before ``(0, 0)`` too, so it is never reflected away; by induction
+outwards along the line its canonical quadruple is already seen.  The
+point is evaluated first, so degenerate points are counted, and their
+reflections found, exactly as before.
+
 One canonicalizer, :func:`canonicalize`, serves both the search and
 :func:`verify_record`.  One record-line encoder, a single ``%``-format
-template in :func:`write_records`, writes every record, to a file or to
-stdout; :func:`scan_records` reads those lines back and re-verifies
-each one, taking a seed's :class:`CubicQuadruple` and ratio from one
-small cache keyed on its integers, :func:`_seed_state`.  A line in the
-template's exact form is read by one regular expression derived from
-that template, and takes the seed and ratio of the template line before
-it when their strings are the same; any other line is read by
-``json.loads`` and :meth:`SolutionRecord.from_json`, which alone word
-the errors, and every record, read either way, goes through
+template, ``_RECORD_LINE``, writes every record, to a file or to
+stdout.  Once per seed and ratio their fields are filled in, and the
+rest of each line is filled in from the search loop's values by
+:func:`write_search`, which the CLI runs, or from a record's fields by
+:func:`write_records`.  :func:`scan_records` reads those lines back and
+re-verifies each one, taking a seed's :class:`CubicQuadruple` and ratio
+from one small cache keyed on its integers, :func:`_seed_state`.  A
+line in the template's exact form is read by one regular expression
+derived from that template, and takes the seed and ratio of the
+template line before it when their strings are the same; any other line
+is read by ``json.loads`` and :meth:`SolutionRecord.from_json`, which
+alone word the errors, and every record, read either way, goes through
 :func:`verify_record`.  The lines are independent of each other, so
 ``verify`` scans a large file's blocks of lines in parallel processes.
 """
@@ -80,6 +96,7 @@ __all__ = [
     "resolve_workers",
     "run_search",
     "write_records",
+    "write_search",
     "load_records",
     "scan_records",
     "verify_record",
@@ -136,10 +153,15 @@ def detect_taxicab(quad: Sequence[int]) -> int | None:
     Canonicalization makes this invariant under rescaling of the raw
     tuple (the content is stripped before the pairs are compared).
     """
-    x1, x2, x3, d = quad
+    x, y, z, d = quad
     if d <= 0:
         return None
-    x, y, z = sorted((x1, x2, x3))
+    if x > y:  # sort the first three, as canonicalize does
+        x, y = y, x
+    if y > z:
+        y, z = z, y
+        if x > y:
+            x, y = y, x
     if not x < 0 < y:  # exactly one negative entry and two positive ones
         return None
     if (y, z) == ((-x, d) if -x < d else (d, -x)):
@@ -362,34 +384,66 @@ def run_search(
     (0, 0)) are skipped and counted in ``stats.degenerate``.  With
     ``dedupe`` enabled, only the first occurrence of each canonical
     quadruple is emitted, so every distinct one is held in memory until
-    the run ends, and a point whose reflection was visited earlier is
-    counted without arithmetic (see the module docstring).
-    ``stats.evaluated`` counts every lattice point visited, reflected
-    points included, and every count is current at each record
-    yielded.  The guardrail on total lattice points is checked eagerly,
-    before any evaluation.  ``threads`` is accepted for compatibility
-    and ignored: the search is single-threaded.
+    the run ends; a point whose reflection was visited earlier is
+    counted without arithmetic, and a cubic point with a point further
+    out on its line through the origin in the grid is counted as a
+    duplicate without being canonicalized (both rules are in the module
+    docstring).  ``stats.evaluated`` counts every lattice point visited,
+    reflected points included, and every count is current at each
+    record yielded.  The guardrail on total lattice points is checked
+    eagerly, before any evaluation.  ``threads`` is accepted for
+    compatibility and ignored: the search is single-threaded.
     """
+    _check_guardrail(cfg)
+    return _search_iter(cfg, stats, _record_encoder)
+
+
+def write_search(
+    cfg: SearchConfig, destination: str | Path | IO[str], stats: SearchStats | None = None
+) -> int:
+    """Run a search and write its records as JSON lines; returns the
+    number written.
+
+    The bytes are those of ``write_records(run_search(cfg, stats),
+    destination)``, and ``stats`` is updated the same way, but each line
+    is formatted in the search loop from a template holding the seed and
+    ratio, with no :class:`SolutionRecord` built.  The guardrail is
+    checked before ``destination`` is opened.
+    """
+    _check_guardrail(cfg)
+    return _write_lines(_search_iter(cfg, stats, _line_encoder), destination)
+
+
+def _check_guardrail(cfg: SearchConfig) -> None:
     points = cfg.lattice_points
     if points > GRID_GUARDRAIL and not cfg.force:
         raise ValueError(
             f"search grid has {points} lattice points, over the {GRID_GUARDRAIL} "
             "guardrail; set force to run anyway"
         )
+
+
+def _search_iter(cfg: SearchConfig, stats: SearchStats | None, encoder) -> Iterator:
+    """What ``encoder(seed, ratio)(uv, raw, reduced, content, taxicab)``
+    makes of each record of the search, ``encoder`` called once per seed
+    and mode."""
     if stats is None:
         stats = SearchStats()
-    return _search_iter(cfg, stats)
-
-
-def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionRecord]:
     seen: set[IntQuad] = set()
+    dedupe = cfg.dedupe
+    (u_lo, _), (v_lo, v_hi) = cfg.u_range, cfg.v_range
     for seed in cfg.seeds:
         ratio = fraction_ratio(seed)
         for mode in cfg.modes:
+            encode = encoder(seed, ratio)
             # With dedupe on, a point whose reflection came earlier is
             # counted by _evaluate_family, not evaluated: zeros keeps, by
-            # u, the v of the degenerate points scanned so far.
-            zeros: dict[int, list[int]] | None = {} if cfg.dedupe else None
+            # u, the v of the degenerate points scanned so far.  A cubic
+            # point before (0, 0) in scan order is a duplicate, without
+            # canonicalize, when the next lattice point out on its line
+            # through the origin is in the grid (the line rule).
+            zeros: dict[int, list[int]] | None = {} if dedupe else None
+            line_rule = dedupe and mode == "cubic"
             for uv, raw in _evaluate_family(seed, mode, cfg, zeros, stats):
                 stats.evaluated += 1
                 if 0 in raw:
@@ -397,15 +451,41 @@ def _search_iter(cfg: SearchConfig, stats: SearchStats) -> Iterator[SolutionReco
                     if zeros is not None:
                         zeros.setdefault(uv[0], []).append(uv[1])
                     continue
+                if line_rule and uv < (0, 0):
+                    u, v = uv
+                    g = math.gcd(u, v)
+                    if u_lo <= u + u // g and v_lo <= v + v // g <= v_hi:
+                        stats.duplicates += 1
+                        continue
                 reduced, content = canonicalize(raw)
-                if cfg.dedupe:
+                if dedupe:
                     if reduced in seen:
                         stats.duplicates += 1
                         continue
                     seen.add(reduced)
                 stats.emitted += 1
-                taxicab = detect_taxicab(reduced)
-                yield SolutionRecord(seed, uv, raw, reduced, content, ratio, taxicab)
+                yield encode(uv, raw, reduced, content, detect_taxicab(reduced))
+
+
+def _record_encoder(seed: CubicQuadruple, ratio: Fraction):
+    def record(uv, raw, reduced, content, taxicab) -> SolutionRecord:
+        return SolutionRecord(seed, uv, raw, reduced, content, ratio, taxicab)
+
+    return record
+
+
+def _line_encoder(seed: Sequence[int], ratio: Fraction):
+    """The record-line encoder of one seed and ratio: ``_RECORD_LINE``
+    with their six fields filled in once, and the other twelve per line."""
+    seed_fields = ["%d" % x for x in seed]
+    ratio_fields = "%d" % ratio.numerator, "%d" % ratio.denominator
+    template = _RECORD_LINE.replace("%d", "%s") % (*seed_fields, *["%d"] * 11, *ratio_fields, "%s")
+
+    def line(uv, raw, reduced, content, taxicab) -> str:
+        tag = "null" if taxicab is None else '"%d"' % taxicab
+        return template % (*uv, *raw, *reduced, content, tag)
+
+    return line
 
 
 def _skip_reflected(
@@ -540,21 +620,31 @@ _RECORD_PATTERN = (
 
 def write_records(records: Iterable[SolutionRecord], destination: str | Path | IO[str]) -> int:
     """Write records as JSON lines; returns the number written."""
+    return _write_lines(_record_lines(records), destination)
+
+
+def _record_lines(records: Iterable[SolutionRecord]) -> Iterator[str]:
+    """The line of each record, from the encoder of its seed and ratio
+    objects, made again whenever either object changes."""
+    seed = ratio = object()
+    for r in records:
+        if r.seed is not seed or r.ratio is not ratio:
+            seed, ratio = r.seed, r.ratio
+            line = _line_encoder(seed, ratio)
+        yield line(r.uv, r.raw, r.reduced, r.content, r.taxicab)
+
+
+def _write_lines(lines: Iterable[str], destination: str | Path | IO[str]) -> int:
     if isinstance(destination, (str, Path)):
         try:
             with open(destination, "w", encoding="utf-8") as fh:
-                return write_records(records, fh)
+                return _write_lines(lines, fh)
         except OSError as exc:
             raise ValueError(f"cannot write solutions file {destination}: {exc}") from exc
     write = destination.write
     count = 0
-    for r in records:
-        taxicab = "null" if r.taxicab is None else '"%d"' % r.taxicab
-        ratio = r.ratio.numerator, r.ratio.denominator
-        write(
-            _RECORD_LINE
-            % (*r.seed, *r.uv, *r.raw, *r.reduced, r.content, *ratio, taxicab)
-        )
+    for line in lines:
+        write(line)
         count += 1
     return count
 

@@ -93,6 +93,20 @@ def test_traced_relation_expand_factor(tmp_path):
         assert name in recorded, name
 
 
+def test_traced_search_records_its_per_record_layers(tmp_path):
+    # a box where the line rule skips points, so canonicalize still runs
+    # for the rest and its span must still be recorded
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [-6, 2], "v_range": [-5, 7], "output": "out.jsonl"}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    summary = json.loads(traced(tmp_path, "search", "search", "--config", "cfg.json"))
+    _, spans = read_spans(tmp_path / "search.spans")
+    calls = {}
+    for name, *_ in spans:
+        calls[name] = calls.get(name, 0) + 1
+    assert calls.get("search.detect_taxicab") == summary["records"]
+    assert summary["records"] <= calls.get("search.canonicalize", 0) < summary["evaluated"]
+
+
 @pytest.mark.parametrize("requested", ["1", "4"])
 def test_resolve_workers_importable_as_benchmark_does(requested):
     probe = (

@@ -18,7 +18,7 @@ import powersum_forge
 from powersum_forge import cli
 from powersum_forge.cli import main
 from powersum_forge.cubic import CubicQuadruple
-from powersum_forge.search import SearchConfig, run_search, scan_records, write_records
+from powersum_forge.search import SearchConfig, SearchStats, run_search, scan_records, write_records
 
 from goldens import EQ6_LATEX, EQ19_LATEX, EQ24_QUARTICS, TABLE1, squash
 
@@ -234,6 +234,45 @@ def test_search_stdout_matches_output_file(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert captured.out and captured.out == out_path.read_text(encoding="utf-8")
     assert report == {"output": str(out_path), **summary}
+
+
+@pytest.mark.parametrize("dedupe", [True, False])
+def test_search_writes_the_bytes_of_write_records(capsys, tmp_path, dedupe):
+    cfg = {
+        "seeds": [[1, 6, 8, 9], [3, 4, 5, 6], [1, 8, 6, 9]],
+        "u_range": [-7, 5],
+        "v_range": [-4, 6],
+        "modes": ["cubic", "Q:1,2", "F:2"],
+        "dedupe": dedupe,
+    }
+    stats = SearchStats()
+    expected = io.StringIO()
+    write_records(run_search(SearchConfig.from_dict(cfg), stats), expected)
+    summary = {
+        "records": stats.emitted,
+        "evaluated": stats.evaluated,
+        "degenerate": stats.degenerate,
+        "duplicates": stats.duplicates,
+    }
+    assert main(["search", "--config", write_config(tmp_path, cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected.getvalue()
+    assert json.loads(captured.err) == summary
+    out_path = tmp_path / "out.jsonl"
+    cfg["output"] = str(out_path)
+    assert main(["search", "--config", write_config(tmp_path, cfg)]) == 0
+    assert out_path.read_bytes() == expected.getvalue().encode()
+    assert json.loads(capsys.readouterr().out) == {"output": str(out_path), **summary}
+
+
+@pytest.mark.parametrize("text", ["0", "-3", "-0"])
+def test_search_threads_below_one_is_usage_error(capsys, tmp_path, text):
+    cfg = write_config(tmp_path, {"seeds": [[1, 6, 8, 9]], "u_range": [0, 1], "v_range": [0, 1]})
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--config", cfg, "--threads", text])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"error: argument --threads: must be at least 1, got {text!r}" in captured.err
 
 
 def test_search_into_closed_stdout_exits_1_without_traceback(tmp_path):

@@ -530,6 +530,81 @@ def test_mirrored_points_of_degenerate_points_count_as_degenerate(monkeypatch, u
     assert stats.degenerate >= len(cfg.seeds) * (rows + cols - 1)
 
 
+def ray_vanishing_family(fq):
+    """The reduced family with q1 vanishing on the line v = 2u and q2 on
+    v = -3u, so degenerate points lie on lines through the origin off
+    the axes; the cubic identity no longer holds, which the search never
+    checks."""
+    family, g = content_reduce(fq)
+    q1, q2, q3, q4 = family.forms
+    q1 = q1._replace(alpha=-2 * q1.beta - 4 * q1.gamma)  # q1(1, 2) = 0
+    q2 = q2._replace(alpha=3 * q2.beta - 9 * q2.gamma)  # q2(1, -3) = 0
+    return family._replace(q1=q1, q2=q2), g
+
+
+line_boxes = st.one_of(
+    mirror_boxes,
+    # wider than tall and taller than wide, off-centre, so that the next
+    # point out on a line leaves the box on either axis first
+    st.tuples(
+        st.integers(-14, 2), st.integers(0, 20), st.integers(-14, 2), st.integers(0, 20)
+    ),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(seeds(), min_size=1, max_size=3), line_boxes, st.booleans())
+def test_line_rule_search_matches_a_full_scan(seed_list, box, vanishing):
+    u_lo, du, v_lo, dv = box
+    cfg = config([s.as_tuple for s in seed_list], u=(u_lo, u_lo + du), v=(v_lo, v_lo + dv))
+    reduce = ray_vanishing_family if vanishing else content_reduce
+    stats = SearchStats()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "content_reduce", reduce)
+        records = list(run_search(cfg, stats=stats))
+    assert (records, stats) == full_scan(cfg, reduce)
+
+
+def outermost(u, v, cfg):
+    """True unless ``(u, v)`` comes before (0, 0) in scan order and the
+    next lattice point out on its line through the origin is in the box."""
+    if (u, v) >= (0, 0):
+        return True
+    g = math.gcd(u, v)
+    (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
+    return not (u_lo <= u + u // g <= u_hi and v_lo <= v + v // g <= v_hi)
+
+
+@pytest.mark.parametrize(
+    "u,v", [((-9, 9), (-9, 9)), ((-12, 3), (-4, 10)), ((-5, 0), (-13, 13)), ((0, 0), (-8, 8))]
+)
+def test_line_rule_canonicalizes_only_the_outermost_point_of_each_line(monkeypatch, u, v):
+    calls = []
+
+    def counting(quad):
+        calls.append(quad)
+        return canonicalize(quad)
+
+    monkeypatch.setattr(search, "canonicalize", counting)
+    cfg = config([(1, 6, 8, 9)], u=u, v=v)
+    stats = SearchStats()
+    records = list(run_search(cfg, stats=stats))
+    assert (records, stats) == full_scan(cfg)
+    family, _ = content_reduce(sandor_generate(cfg.seeds[0]))
+    (u_lo, u_hi), (v_lo, v_hi) = u, v
+    # the points that are not mirror-skipped (the mirror is in the box
+    # and earlier), not degenerate and not on a line with a point further out
+    points = [
+        ((x, y), evaluate_forms(family, x, y))
+        for x in range(u_lo, u_hi + 1)
+        for y in range(v_lo, v_hi + 1)
+        if not ((-x, -y) < (x, y) and u_lo <= -x <= u_hi and v_lo <= -y <= v_hi)
+    ]
+    expected = [raw for (x, y), raw in points if 0 not in raw and outermost(x, y, cfg)]
+    assert calls == expected
+    assert len(calls) < sum(0 not in raw for _, raw in points)
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
