@@ -4,7 +4,8 @@ Subcommands mirror the library surface: ``bernoulli``, ``faulhaber``,
 ``combo``, ``sandor``, ``verify``, ``relation``, ``quad`` and
 ``search``.  Output is JSON by default; ``--latex`` switches to the
 display form where one exists.  Exit codes: 0 success, 1 verification
-failure or a reader that closed stdout early, 2 usage or input error.
+failure or a reader that closed stdout early, 2 usage or input error,
+or a worker process that ended without its result.
 
 Each handler imports the modules it runs when it runs, so a call pays
 only for its own subcommand: ``relation`` never loads ``search`` or
@@ -17,7 +18,11 @@ is decoded as the whole file would be and checked by
 :func:`search.scan_records`; the blocks' counts and failures are merged
 in order, their line numbers offset, so the report is the same bytes
 however the file is cut.  A regular file of more than one block is
-checked on a pool of forked processes, up to one for each CPU.
+checked by forked worker processes, up to one for each CPU.
+
+``search`` writes a large grid's records from forked worker processes,
+up to one for each CPU or ``--threads``, as :func:`search.write_search`
+says; ``--threads 1`` searches in this process.
 """
 
 from __future__ import annotations
@@ -190,28 +195,47 @@ def _check_blocks(
 ) -> list[tuple[int, int, list[tuple[int, str]]]]:
     """:func:`_check_block` of each block, in order.
 
-    A regular file of more than one block is checked on a pool of forked
-    processes, one for each CPU this process may run on and at most one
-    for each block; anything else, a pipe included, in this process.  The
-    CLI starts no thread before the pool, so ``fork`` is safe here, and a
-    forked worker starts with the modules loaded instead of importing them.
+    A regular file of more than one block is checked by forked worker
+    processes (:func:`forks.forked_map`), one for each CPU this process
+    may run on and at most one for each block.  This process reads the
+    blocks only to find where they start and end; each worker reads its
+    own blocks from the file with ``os.pread``, so no block's bytes cross
+    a pipe.  As the workers read the file again, a change to it while it
+    is checked is a ValueError, not a report on other bytes than those
+    this process read.  Anything else, a pipe included, is checked in
+    this process.
+    The CLI starts no thread before the workers, so ``fork`` is safe here,
+    and a forked worker starts with the modules loaded instead of
+    importing them.
     """
     info = os.fstat(raw.fileno())
+    size_blocks = -(-info.st_size // _BLOCK_BYTES)
     workers = 1
-    if stat.S_ISREG(info.st_mode) and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), -(-info.st_size // _BLOCK_BYTES))
-    if workers > 1:
-        import multiprocessing  # here only, so a small file or a pipe never loads it
+    if stat.S_ISREG(info.st_mode) and size_blocks > 1:
+        from . import forks, search  # noqa: F401  (search loaded once here, not in each worker)
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from . import search  # noqa: F401  (loaded once here, not in each worker)
+        workers = forks.worker_count(None, size_blocks)
+    if workers < 2:
+        return list(map(_check_block, blocks))
+    lengths = [len(block) for block in blocks]
+    spans = list(zip(lengths, itertools.accumulate(lengths, initial=0)))  # (size, offset)
+    fd, end = raw.fileno(), sum(lengths)
+    with forks.forked_map(lambda span: _check_span(fd, end, *span), spans, workers) as checked:
+        results = list(checked)
+    changed = os.fstat(fd)
+    if (changed.st_size, changed.st_mtime_ns) != (info.st_size, info.st_mtime_ns):
+        raise ValueError("the file changed while it was checked")
+    return results
 
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                results = list(pool.imap(_check_block, blocks))
-                pool.close()
-                pool.join()
-            return results
-    return list(map(_check_block, blocks))
+
+def _check_span(fd: int, end: int, size: int, offset: int) -> tuple[int, int, list]:
+    """:func:`_check_block` of the ``size`` bytes at ``offset`` of the file
+    ``fd``, read again there; they must still be ``size`` bytes that end a
+    line, or end at ``end``, where the file ended when it was first read."""
+    block = os.pread(fd, size, offset)
+    if len(block) != size or not (block.endswith(b"\n") or offset + size == end):
+        raise ValueError("the file changed while it was checked")
+    return _check_block(block)
 
 
 def _read_lines(blocks: Iterator[bytes], read: list[bytes]) -> Iterator[str]:
@@ -390,9 +414,9 @@ def cmd_search(args) -> tuple[int, str]:
         cfg = cfg._replace(force=True)
     stats = SearchStats()
     if cfg.output is not None:
-        write_search(cfg, cfg.output, stats)
+        write_search(cfg, cfg.output, stats, args.threads)
         return OK, _emit({"output": cfg.output, **_search_summary(stats)})
-    write_search(cfg, sys.stdout, stats)
+    write_search(cfg, sys.stdout, stats, args.threads)
     print(_emit(_search_summary(stats)), file=sys.stderr)
     return OK, ""
 
@@ -460,7 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="grid search over families")
     p.add_argument("--config", required=True)
     p.add_argument(
-        "--threads", type=positive, help="at least 1; changes nothing: the search runs on one thread"
+        "--threads",
+        type=positive,
+        help="at least 1; most worker processes for a large grid (default: one per CPU); "
+        "1 searches in this process",
     )
     p.add_argument("--force", action="store_true", help="override the lattice guardrail")
     p.set_defaults(handler=cmd_search)
@@ -484,6 +511,9 @@ def main(argv=None) -> int:
         # interpreter's final flush does not fail a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return VERIFICATION_FAILED
+    except ChildProcessError as exc:  # a worker process was killed
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     return code
 
 

@@ -8,10 +8,14 @@ is tagged when it exhibits a two-cubes coincidence (an integer that is a
 sum of two positive cubes in two distinct ways).
 
 Evaluation order is fixed: seeds in configuration order, then mode,
-then u ascending, then v ascending.  The search runs on one thread and
-evaluates lazily, one point at a time; with ``dedupe`` off its memory
-stays bounded however large the grid.  The ``threads`` argument changes
-nothing, so every run emits byte-identical records.
+then u ascending, then v ascending.  :func:`run_search` runs in one
+process and evaluates lazily, one point at a time; with ``dedupe`` off
+its memory stays bounded however large the grid.  :func:`write_search`
+runs a large grid on forked worker processes, in blocks of a bounded
+number of points, and writes the same bytes: a point's raw tuple depends
+only on the point, and the state shared across blocks (the dedupe set,
+and the degenerate points the reflection rule reads) is kept in the
+writing process, so with ``dedupe`` off its memory stays bounded too.
 
 Cubic mode evaluates the reduced family with a row kernel: for each
 ``u`` it folds ``alpha*u^2`` and ``beta*u`` of every form into two
@@ -80,7 +84,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .cubic import CubicQuadruple, _Validated, content_reduce, fraction_ratio, sandor_generate
+from .cubic import (
+    CubicQuadruple,
+    FormQuadruple,
+    _Validated,
+    content_reduce,
+    fraction_ratio,
+    sandor_generate,
+)
 from .exactcore import json_int, json_ints
 from .polynomials import _horner
 from .relations import FMode, QMode, RelationMode, build_relation, expand_relation, parse_mode
@@ -107,6 +118,17 @@ GRID_GUARDRAIL = 10_000_000
 
 #: Environment variable capping :func:`resolve_workers`.
 THREADS_ENV = "POWERSUM_FORGE_THREADS"
+
+#: Lattice points from which :func:`write_search` may search on forked
+#: workers; a smaller grid takes less time than forking them.
+_FORK_POINTS = 32_768
+
+#: Most lattice points of one grid that a forked worker scans as one
+#: block: whole rows (values of ``u``) where a row holds no more, pieces
+#: of one row otherwise.  A cubic row holds every ``v`` of the box, a
+#: relation row one point.  A block's lines are held whole on both sides
+#: of the fork, so this bounds the search's memory, with ``dedupe`` off.
+_BLOCK_POINTS = 2_048
 
 SearchMode = Union[str, RelationMode]  # "cubic" | QMode | FMode
 
@@ -361,7 +383,8 @@ def _parse_modes(raw) -> tuple[SearchMode, ...]:
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: requested (or cpu count), capped by the env var.
 
-    Only reported; the search itself is single-threaded.
+    Only reported: :func:`write_search` counts its workers with
+    :func:`forks.worker_count`, from its ``threads`` and the CPUs.
     """
     workers = requested if requested else (os.cpu_count() or 1)
     raw_cap = os.environ.get(THREADS_ENV)
@@ -391,15 +414,18 @@ def run_search(
     docstring).  ``stats.evaluated`` counts every lattice point visited,
     reflected points included, and every count is current at each
     record yielded.  The guardrail on total lattice points is checked
-    eagerly, before any evaluation.  ``threads`` is accepted for
-    compatibility and ignored: the search is single-threaded.
+    eagerly, before any evaluation.  ``threads`` is accepted and
+    ignored: the records are made in this process, one at a time.
     """
     _check_guardrail(cfg)
     return _search_iter(cfg, stats, _record_encoder)
 
 
 def write_search(
-    cfg: SearchConfig, destination: str | Path | IO[str], stats: SearchStats | None = None
+    cfg: SearchConfig,
+    destination: str | Path | IO[str],
+    stats: SearchStats | None = None,
+    threads: int | None = 1,
 ) -> int:
     """Run a search and write its records as JSON lines; returns the
     number written.
@@ -409,9 +435,120 @@ def write_search(
     is formatted in the search loop from a template holding the seed and
     ratio, with no :class:`SolutionRecord` built.  The guardrail is
     checked before ``destination`` is opened.
+
+    With ``threads`` above 1, or None for no cap, a grid of at least
+    ``_FORK_POINTS`` lattice points is searched in blocks of at most
+    ``_BLOCK_POINTS`` points on forked worker processes, at most
+    ``threads`` of them and one for each CPU this process may run on; the
+    bytes and counts are the same.  Each worker scans a block with a
+    ``seen`` set of its own, and this process dedupes the blocks' records
+    in scan order against one set, as :func:`_merge_blocks` says.
     """
     _check_guardrail(cfg)
-    return _write_lines(_search_iter(cfg, stats, _line_encoder), destination)
+    if stats is None:
+        stats = SearchStats()
+    emitted = stats.emitted
+    workers = 1
+    if threads != 1 and cfg.lattice_points >= _FORK_POINTS:
+        from . import forks
+
+        blocks = {mode: _blocks(cfg, mode) for mode in cfg.modes}
+        jobs = len(cfg.seeds) * sum(map(len, blocks.values()))
+        workers = forks.worker_count(threads, jobs)
+    if workers < 2:
+        _write_lines(_search_iter(cfg, stats, _line_encoder), destination)
+        return stats.emitted - emitted
+    grids = []
+    for seed in cfg.seeds:
+        reduced, _ = content_reduce(sandor_generate(seed))
+        ratio = fraction_ratio(seed)
+        grids += [(seed, ratio, mode, _family(reduced, mode, cfg.dedupe)) for mode in cfg.modes]
+    jobs = [(grid, *block) for grid in grids for block in blocks[grid[2]]]
+    with forks.forked_map(functools.partial(_scan_block, cfg), jobs, workers) as results:
+        _write_lines(_merge_blocks(results, jobs, cfg.dedupe, stats), destination)
+    return stats.emitted - emitted
+
+
+def _blocks(cfg: SearchConfig, mode: SearchMode) -> list[tuple[range, range]]:
+    """A grid of ``mode`` cut, in scan order, into blocks of at most
+    ``_BLOCK_POINTS`` points, each as its rows (values of ``u``) and its
+    columns (values of ``v``; a relation grid has one, which is ignored)."""
+    (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
+    us, vs = range(u_lo, u_hi + 1), range(v_lo, v_hi + 1)
+    if mode != "cubic" or len(vs) <= _BLOCK_POINTS:
+        step = _BLOCK_POINTS // (len(vs) if mode == "cubic" else 1)
+        return [(us[i : i + step], vs) for i in range(0, len(us), step)]
+    pieces = range(0, len(vs), _BLOCK_POINTS)
+    return [(us[i : i + 1], vs[j : j + _BLOCK_POINTS]) for i in range(len(us)) for j in pieces]
+
+
+def _scan_block(cfg: SearchConfig, job: tuple) -> tuple:
+    """One block of one grid, scanned by :func:`_scan` with a
+    ``seen`` set and degenerate points of its own: its four counts, its
+    degenerate points by ``u``, the reflected intervals it took out,
+    uncounted, as ``(key, lo, hi, centre)``, the ``_REDUCED`` text of
+    each record (dedupe on), and the length of each line and their text.
+    """
+    (seed, ratio, mode, family), rows, columns = job
+    stats = SearchStats()
+    zeros = seen = settle = keys = None
+    intervals: list[tuple] = []
+    if cfg.dedupe:
+        zeros, seen, keys = {}, set(), []
+        settle = lambda *interval: intervals.append(interval)  # noqa: E731
+    points = _points(seed, mode, family, cfg, rows, columns, settle)
+    line_rule = cfg.dedupe and mode == "cubic"
+    encode = _line_encoder(seed, ratio, keys)
+    lines = list(_scan(points, cfg, line_rule, zeros, seen, stats, encode))
+    counts = stats.evaluated, stats.degenerate, stats.duplicates, stats.emitted
+    return counts, zeros, intervals, keys, list(map(len, lines)), "".join(lines)
+
+
+def _merge_blocks(
+    blocks: Iterable[tuple], jobs: list[tuple], dedupe: bool, stats: SearchStats
+) -> Iterator[str]:
+    """The text of the search from each job's :func:`_scan_block` result,
+    in order, with ``stats`` updated as the serial search updates it.
+
+    With dedupe on, each grid's degenerate points are gathered as the
+    serial search gathers them, each reflected interval is counted by
+    :func:`_settle` against them (its reflections are in this block or an
+    earlier one), and a record whose canonical quadruple an earlier block
+    emitted is dropped as a duplicate.
+    """
+    from itertools import accumulate
+
+    seen: set[str] = set()
+    grid = zeros = None
+    for (grid_of_job, *_), result in zip(jobs, blocks):
+        counts, block_zeros, intervals, keys, lengths, text = result
+        evaluated, degenerate, duplicates, emitted = counts
+        stats.evaluated += evaluated
+        stats.degenerate += degenerate
+        stats.duplicates += duplicates
+        stats.emitted += emitted
+        if not dedupe:
+            yield text
+            continue
+        if grid_of_job is not grid:
+            grid, zeros = grid_of_job, {}
+        for u, vs in block_zeros.items():
+            zeros.setdefault(u, []).extend(vs)
+        for interval in intervals:
+            _settle(zeros, stats, *interval)
+        if not seen.isdisjoint(keys):
+            pieces, start, prev = [], 0, 0
+            for key, end in zip(keys, accumulate(lengths)):
+                if key in seen:  # the line text[prev:end]
+                    pieces.append(text[start:prev])
+                    start = end
+                prev = end
+            pieces.append(text[start:])
+            stats.emitted -= len(pieces) - 1
+            stats.duplicates += len(pieces) - 1
+            text = "".join(pieces)
+        seen.update(keys)
+        yield text
 
 
 def _check_guardrail(cfg: SearchConfig) -> None:
@@ -429,42 +566,57 @@ def _search_iter(cfg: SearchConfig, stats: SearchStats | None, encoder) -> Itera
     and mode."""
     if stats is None:
         stats = SearchStats()
-    seen: set[IntQuad] = set()
     dedupe = cfg.dedupe
-    (u_lo, _), (v_lo, v_hi) = cfg.u_range, cfg.v_range
+    seen: set[IntQuad] | None = set() if dedupe else None
     for seed in cfg.seeds:
         ratio = fraction_ratio(seed)
         for mode in cfg.modes:
-            encode = encoder(seed, ratio)
             # With dedupe on, a point whose reflection came earlier is
-            # counted by _evaluate_family, not evaluated: zeros keeps, by
-            # u, the v of the degenerate points scanned so far.  A cubic
-            # point before (0, 0) in scan order is a duplicate, without
-            # canonicalize, when the next lattice point out on its line
-            # through the origin is in the grid (the line rule).
+            # counted by _settle, not evaluated: zeros keeps, by u, the v
+            # of the degenerate points scanned so far.
             zeros: dict[int, list[int]] | None = {} if dedupe else None
+            points = _evaluate_family(seed, mode, cfg, zeros, stats)
             line_rule = dedupe and mode == "cubic"
-            for uv, raw in _evaluate_family(seed, mode, cfg, zeros, stats):
-                stats.evaluated += 1
-                if 0 in raw:
-                    stats.degenerate += 1
-                    if zeros is not None:
-                        zeros.setdefault(uv[0], []).append(uv[1])
-                    continue
-                if line_rule and uv < (0, 0):
-                    u, v = uv
-                    g = math.gcd(u, v)
-                    if u_lo <= u + u // g and v_lo <= v + v // g <= v_hi:
-                        stats.duplicates += 1
-                        continue
-                reduced, content = canonicalize(raw)
-                if dedupe:
-                    if reduced in seen:
-                        stats.duplicates += 1
-                        continue
-                    seen.add(reduced)
-                stats.emitted += 1
-                yield encode(uv, raw, reduced, content, detect_taxicab(reduced))
+            yield from _scan(points, cfg, line_rule, zeros, seen, stats, encoder(seed, ratio))
+
+
+def _scan(
+    points: Iterable[tuple[tuple[int, int], IntQuad]],
+    cfg: SearchConfig,
+    line_rule: bool,
+    zeros: dict[int, list[int]] | None,
+    seen: set | None,
+    stats: SearchStats,
+    encode,
+) -> Iterator:
+    """``encode(uv, raw, reduced, content, taxicab)`` of each record among
+    ``points``: a degenerate point is counted and, given ``zeros``, kept
+    there; with ``line_rule``, a cubic point before (0, 0) in scan order
+    is a duplicate, without canonicalize, when the next lattice point out
+    on its line through the origin is in the grid; given ``seen``, a
+    canonical quadruple seen before is a duplicate."""
+    (u_lo, _), (v_lo, v_hi) = cfg.u_range, cfg.v_range
+    for uv, raw in points:
+        stats.evaluated += 1
+        if 0 in raw:
+            stats.degenerate += 1
+            if zeros is not None:
+                zeros.setdefault(uv[0], []).append(uv[1])
+            continue
+        if line_rule and uv < (0, 0):
+            u, v = uv
+            g = math.gcd(u, v)
+            if u_lo <= u + u // g and v_lo <= v + v // g <= v_hi:
+                stats.duplicates += 1
+                continue
+        reduced, content = canonicalize(raw)
+        if seen is not None:
+            if reduced in seen:
+                stats.duplicates += 1
+                continue
+            seen.add(reduced)
+        stats.emitted += 1
+        yield encode(uv, raw, reduced, content, detect_taxicab(reduced))
 
 
 def _record_encoder(seed: CubicQuadruple, ratio: Fraction):
@@ -474,50 +626,64 @@ def _record_encoder(seed: CubicQuadruple, ratio: Fraction):
     return record
 
 
-def _line_encoder(seed: Sequence[int], ratio: Fraction):
+def _line_encoder(seed: Sequence[int], ratio: Fraction, keys: list[str] | None = None):
     """The record-line encoder of one seed and ratio: ``_RECORD_LINE``
-    with their six fields filled in once, and the other twelve per line."""
+    with their six fields filled in once, and the other twelve per line.
+    Given ``keys``, it appends to it each line's four reduced entries as
+    they stand in the line, ``_REDUCED``'s text, which names the line's
+    canonical quadruple."""
     seed_fields = ["%d" % x for x in seed]
     ratio_fields = "%d" % ratio.numerator, "%d" % ratio.denominator
-    template = _RECORD_LINE.replace("%d", "%s") % (*seed_fields, *["%d"] * 11, *ratio_fields, "%s")
+    fields = (*seed_fields, *["%d"] * 6, "%s", "%d", *ratio_fields, "%s")
+    reduced_field = '"reduced":["' + _REDUCED
+    template = _RECORD_LINE.replace(reduced_field, '"reduced":["%s').replace("%d", "%s") % fields
 
     def line(uv, raw, reduced, content, taxicab) -> str:
+        text = _REDUCED % reduced
+        if keys is not None:
+            keys.append(text)
         tag = "null" if taxicab is None else '"%d"' % taxicab
-        return template % (*uv, *raw, *reduced, content, tag)
+        return template % (*uv, *raw, text, content, tag)
 
     return line
 
 
 def _skip_reflected(
-    line: range,
-    lo: int,
-    hi: int,
-    centre: int,
-    zeros: Iterable[int],
-    stats: SearchStats,
+    line: range, lo: int, hi: int, centre: int, key: int | None, settle
 ) -> Iterator[range]:
     """The two segments of ``line`` left to evaluate once its points
     ``lo..hi`` (clipped to the line), each the reflection ``centre - x``
     of a point ``x`` scanned earlier, are taken out.
 
-    Those points are counted into ``stats`` when the second segment is
-    asked for, which the caller does only after the consumer has taken
-    every point of the first: one is degenerate if its reflection was
-    (``zeros`` holds the degenerate ``x`` and is read only then, as a
-    line may reflect into its own first segment) and a duplicate
-    otherwise, as its reflection's canonical quadruple is already seen.
+    ``settle(key, lo, hi, centre)`` is told of those points when the
+    second segment is asked for, which the caller does only after the
+    consumer has taken every point of the first; ``key`` names the scan
+    line of the points ``x`` for :func:`_settle`.
     """
     lo, hi = max(lo, line.start), min(hi, line.stop - 1)
     if lo > hi:
         yield line
         return
     yield range(line.start, lo)
+    settle(key, lo, hi, centre)
+    yield range(hi + 1, line.stop)
+
+
+def _settle(
+    zeros: dict[int, list[int]], stats: SearchStats, key: int | None, lo: int, hi: int, centre: int
+) -> None:
+    """Count the points ``lo..hi`` that :func:`_skip_reflected` took out
+    into ``stats``: one is degenerate if its reflection ``x`` was, and a
+    duplicate otherwise, as the canonical quadruple of ``x`` is already
+    seen.  The degenerate ``x`` are ``zeros[key]``, or the keys of
+    ``zeros`` when ``key`` is None, and are read only now, as a line may
+    reflect into its own first segment.
+    """
     n = hi - lo + 1
-    degenerate = sum(lo <= centre - x <= hi for x in zeros)
+    degenerate = sum(lo <= centre - x <= hi for x in (zeros if key is None else zeros.get(key, ())))
     stats.evaluated += n
     stats.degenerate += degenerate
     stats.duplicates += n - degenerate
-    yield range(hi + 1, line.stop)
 
 
 def _reflection_holds(nums: Sequence[Sequence[int]]) -> bool:
@@ -543,27 +709,55 @@ def _evaluate_family(
     Given ``zeros`` (dedupe on; the caller's record of degenerate points)
     and ``stats``, a point whose reflection is in the grid and earlier in
     scan order is not yielded but counted into ``stats`` by
-    :func:`_skip_reflected` (the rule is in the module docstring).
+    :func:`_settle` (the rule is in the module docstring).
     """
-    u_lo, u_hi = cfg.u_range
-    family, _ = content_reduce(sandor_generate(seed))
+    family = _family(content_reduce(sandor_generate(seed))[0], mode, zeros is not None)
+    settle = None if zeros is None else functools.partial(_settle, zeros, stats)
+    (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
+    return _points(seed, mode, family, cfg, range(u_lo, u_hi + 1), range(v_lo, v_hi + 1), settle)
+
+
+def _family(reduced: FormQuadruple, mode: SearchMode, dedupe: bool) -> tuple:
+    """What :func:`_points` evaluates for a mode, derived once: the reduced
+    family's coefficient rows, or the expanded identity, its numerators and
+    denominators, and (with ``dedupe`` on) whether it is proven symmetric
+    under ``u -> -1-u``."""
+    if mode == "cubic":
+        return reduced.coefficient_rows
+    identity = expand_relation(build_relation(reduced, mode))
+    nums = [p._num for p in identity.polys]
+    return identity, nums, [p._den for p in identity.polys], dedupe and _reflection_holds(nums)
+
+
+def _points(
+    seed: CubicQuadruple,
+    mode: SearchMode,
+    family: tuple,
+    cfg: SearchConfig,
+    rows: range,
+    columns: range,
+    settle,
+) -> Iterator[tuple[tuple[int, int], IntQuad]]:
+    """``(uv, raw)`` at each point of the grid in ``rows`` (values of
+    ``u``) and, in cubic mode, ``columns`` (values of ``v``), in scan
+    order; given ``settle``, the points whose reflection is in the grid
+    and earlier in scan order go to it instead, through
+    :func:`_skip_reflected`."""
+    u_lo = cfg.u_range[0]
     if mode == "cubic":
         v_lo, v_hi = cfg.v_range
-        row = range(v_lo, v_hi + 1)
         # Row kernel: q_i(u, v) = alpha_i*u^2 + beta_i*u*v + gamma_i*v^2
         # is A_i + (B_i + gamma_i*v)*v with A_i = alpha_i*u^2 and
         # B_i = beta_i*u fixed for the whole row.
-        (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = family.coefficient_rows
-        for u in range(u_lo, u_hi + 1):
+        (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = family
+        for u in rows:
             uu = u * u
             A1, A2, A3, A4 = a1 * uu, a2 * uu, a3 * uu, a4 * uu
             B1, B2, B3, B4 = b1 * u, b2 * u, b3 * u, b4 * u
-            if zeros is None or not 0 <= u <= -u_lo:
-                segments = (row,)
-            else:  # row -u is in the box; row 0 reflects into its own v < 0,
-                # so it gets the list it is still filling, not a copy
-                lo = -v_hi if u else 1
-                segments = _skip_reflected(row, lo, -v_lo, 0, zeros.setdefault(-u, []), stats)
+            if settle is None or not 0 <= u <= -u_lo:
+                segments = (columns,)
+            else:  # row -u is in the box; row 0 reflects into its own v < 0
+                segments = _skip_reflected(columns, -v_hi if u else 1, -v_lo, 0, -u, settle)
             for vs in segments:
                 for v in vs:
                     yield (u, v), (
@@ -573,14 +767,11 @@ def _evaluate_family(
                         A4 + (B4 + c4 * v) * v,
                     )
     else:
-        identity = expand_relation(build_relation(family, mode))
-        n1, n2, n3, n4 = nums = [p._num for p in identity.polys]
-        dens = [p._den for p in identity.polys]
+        identity, (n1, n2, n3, n4), dens, reflects = family
         whole = dens == [1, 1, 1, 1]
-        line = range(u_lo, u_hi + 1)
-        segments = (line,)
-        if zeros is not None and _reflection_holds(nums):
-            segments = _skip_reflected(line, 0, -1 - u_lo, -1, zeros, stats)
+        segments = (rows,)
+        if settle is not None and reflects:
+            segments = _skip_reflected(rows, 0, -1 - u_lo, -1, None, settle)
         for us in segments:
             for u in us:
                 raw = _horner(n1, u), _horner(n2, u), _horner(n3, u), _horner(n4, u)
@@ -603,6 +794,10 @@ _RECORD_LINE = (
     '"raw":["%d","%d","%d","%d"],"reduced":["%d","%d","%d","%d"],'
     '"content":"%d","ratio":{"num":"%d","den":"%d"},"taxicab":%s}\n'
 )
+
+
+#: The four reduced entries of a record line, as ``_RECORD_LINE`` writes them.
+_REDUCED = '%d","%d","%d","%d'
 
 
 #: The reading side of ``_RECORD_LINE``: each ``%d`` becomes a group of

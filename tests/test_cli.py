@@ -3,7 +3,6 @@ import hashlib
 import io
 import itertools
 import json
-import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -15,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powersum_forge
-from powersum_forge import cli
+from powersum_forge import cli, forks, search
 from powersum_forge.cli import main
 from powersum_forge.cubic import CubicQuadruple
 from powersum_forge.search import SearchConfig, SearchStats, run_search, scan_records, write_records
 
 from goldens import EQ6_LATEX, EQ19_LATEX, EQ24_QUARTICS, TABLE1, squash
+from test_forks import no_child_process
+from test_search import line_vanishing_family, ray_vanishing_family
 
 
 def run(capsys, *argv):
@@ -871,16 +872,16 @@ def serial_verify(path: str) -> tuple[int, str]:
 
 def pool_sizes(monkeypatch, cpus: int) -> list[int]:
     """Let this process run on ``cpus`` CPUs; the list returned gets the
-    worker count of each pool that checks blocks."""
+    worker count of each fork map that checks blocks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     sizes: list[int] = []
-    imap = multiprocessing.pool.Pool.imap
+    forked_map = forks.forked_map
 
-    def spy(self, *args, **kwargs):
-        sizes.append(self._processes)
-        return imap(self, *args, **kwargs)
+    def spy(function, jobs, workers):
+        sizes.append(workers)
+        return forked_map(function, jobs, workers)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", spy)
+    monkeypatch.setattr(forks, "forked_map", spy)
     return sizes
 
 
@@ -952,23 +953,27 @@ def test_verify_in_blocks_leaves_no_worker_and_runs_again(capsys, monkeypatch, t
     reports = []
     for _ in range(2):
         reports.append((main(["verify", str(path)]), capsys.readouterr().out))
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
     assert sizes == [2, 2]
     assert reports[0] == reports[1] == serial_verify(str(path))
 
 
 #: Runs ``verify`` on two CPUs whatever the machine has, then reports
-#: whether a child process is left, running or not yet reaped.
+#: whether a child process is left, running or not yet reaped, and the
+#: worker count of each fork map that ran.
 NO_CHILD_PROBE = """
 import os, sys
-from powersum_forge import cli
+from powersum_forge import cli, forks
 os.sched_getaffinity = lambda pid: {0, 1}
+workers = []
+forked_map = forks.forked_map
+forks.forked_map = lambda function, jobs, n: workers.append(n) or forked_map(function, jobs, n)
 code = cli.main(["verify", sys.argv[1]])
 try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
     print("no child process")
-print("pool", "multiprocessing" in sys.modules)
+print("workers", workers)
 sys.exit(code)
 """
 
@@ -993,7 +998,7 @@ def test_verify_subprocess_leaves_no_process_running(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report, tail = proc.stdout.split("}\n")
     assert json.loads(report + "}")["verified"] is True
-    assert tail == "no child process\npool True\n"
+    assert tail == "no child process\nworkers [2]\n"
 
 
 @pytest.mark.parametrize("kind", ["jsonl", "form", "pretty-form"])
@@ -1035,3 +1040,327 @@ def test_verify_reads_a_fifo_in_blocks_in_this_process(capsys, monkeypatch, tmp_
     expected = json.dumps({**json.loads(out), "file": str(fifo)}, indent=2) + "\n"
     assert capsys.readouterr().out == expected
     assert sizes == []
+
+
+# --- search on forked workers -----------------------------------------------------
+
+
+#: Configs for the forked search, with the ``content_reduce`` each runs under.
+FORKED_CONFIGS = {
+    "cubic": (
+        {"seeds": [[1, 6, 8, 9], [3, 4, 5, 6]], "u_range": [-9, 9], "v_range": [-9, 9]},
+        None,
+    ),
+    "mixed-modes": (
+        {
+            "seeds": [[1, 6, 8, 9], [1, 8, 6, 9]],
+            "u_range": [-7, 5],
+            "v_range": [-4, 6],
+            "modes": ["cubic", "Q:1,2", "F:2"],
+        },
+        None,
+    ),
+    "no-dedupe": (
+        {
+            "seeds": [[1, 6, 8, 9], [8, 1, 6, 9]],
+            "u_range": [-6, 6],
+            "v_range": [-6, 6],
+            "dedupe": False,
+        },
+        None,
+    ),
+    "off-origin": ({"seeds": [[1, 6, 8, 9]], "u_range": [3, 17], "v_range": [-11, 4]}, None),
+    "asymmetric": (
+        {"seeds": [[7, 14, 17, 20], [3, 4, 5, 6]], "u_range": [-13, 4], "v_range": [-3, 12]},
+        None,
+    ),
+    "line-vanishing": (
+        {"seeds": [[1, 6, 8, 9], [3, 4, 5, 6]], "u_range": [-3, 7], "v_range": [-5, 2]},
+        line_vanishing_family,
+    ),
+    "ray-vanishing": (
+        {"seeds": [[1, 6, 8, 9], [3, 4, 5, 6]], "u_range": [-8, 6], "v_range": [-9, 7]},
+        ray_vanishing_family,
+    ),
+}
+
+
+def fork_every_grid(monkeypatch, cpus: int, points: int) -> list[int]:
+    """Let this process run on ``cpus`` CPUs and search every grid, however
+    small, in blocks of at most ``points`` points on forked workers; the
+    list returned gets the worker count of each fork map."""
+    monkeypatch.setattr(search, "_FORK_POINTS", 1)
+    monkeypatch.setattr(search, "_BLOCK_POINTS", points)
+    return pool_sizes(monkeypatch, cpus)
+
+
+# Blocks of 1 and 7 points cut every cubic row of these configs, blocks of
+# 19 points hold one to two whole rows, and of 40 points two to five.
+@pytest.mark.parametrize("name", sorted(FORKED_CONFIGS))
+@pytest.mark.parametrize("points", [1, 7, 19, 40])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_forked_search_writes_the_bytes_and_counts_of_a_serial_run(
+    capsys, monkeypatch, tmp_path, name, points, threads
+):
+    cfg, reduce = FORKED_CONFIGS[name]
+    if reduce is not None:
+        monkeypatch.setattr(search, "content_reduce", reduce)
+    stats = SearchStats()
+    expected = io.StringIO()
+    write_records(run_search(SearchConfig.from_dict(cfg), stats), expected)
+    summary = {
+        "records": stats.emitted,
+        "evaluated": stats.evaluated,
+        "degenerate": stats.degenerate,
+        "duplicates": stats.duplicates,
+    }
+    assert expected.getvalue()
+    sizes = fork_every_grid(monkeypatch, 3, points)
+    argv = ["search", "--config", write_config(tmp_path, cfg), "--threads", str(threads)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert no_child_process()
+    assert captured.out == expected.getvalue()
+    assert json.loads(captured.err) == summary
+    out_path = tmp_path / "out.jsonl"
+    argv[2] = write_config(tmp_path, {**cfg, "output": str(out_path)})
+    assert main(argv) == 0
+    assert no_child_process()
+    assert out_path.read_bytes() == expected.getvalue().encode()
+    assert json.loads(capsys.readouterr().out) == {"output": str(out_path), **summary}
+    assert sizes == ([] if threads == 1 else [threads, threads])
+
+
+def test_search_threads_are_capped_by_the_cpus(capsys, monkeypatch, tmp_path):
+    cfg = write_config(tmp_path, FORKED_CONFIGS["cubic"][0])
+    assert main(["search", "--config", cfg, "--threads", "1"]) == 0
+    serial = capsys.readouterr()
+    sizes = fork_every_grid(monkeypatch, 2, 20)
+    for threads in [["--threads", "99999999999999999999"], []]:
+        assert main(["search", "--config", cfg, *threads]) == 0
+        assert capsys.readouterr() == serial
+    assert sizes == [2, 2]
+
+
+def test_search_under_the_fork_threshold_runs_in_process(capsys, monkeypatch, tmp_path):
+    sizes = pool_sizes(monkeypatch, 2)
+    cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [-90, 90], "v_range": [-90, 89]}
+    assert SearchConfig.from_dict(cfg).lattice_points < search._FORK_POINTS
+    assert main(["search", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out
+    assert sizes == []
+
+
+#: Runs ``search`` on two CPUs whatever the machine has, every grid in
+#: blocks of at most 50 points on forked workers, then reports on stderr
+#: whether a child process is left, running or not yet reaped, and the
+#: worker count of each fork map that ran.  With ``fail`` as its first
+#: argument, ``canonicalize`` raises on the first point with an entry over
+#: 5000; with ``die``, the process that calls it there is killed instead.
+SEARCH_PROBE = """
+import os, sys
+from powersum_forge import cli, forks, search
+os.sched_getaffinity = lambda pid: {0, 1}
+search._FORK_POINTS = 1
+search._BLOCK_POINTS = 50
+workers = []
+forked_map = forks.forked_map
+forks.forked_map = lambda function, jobs, n: workers.append(n) or forked_map(function, jobs, n)
+if sys.argv[1] in ("fail", "die"):
+    import signal
+
+    canonicalize = search.canonicalize
+
+    def failing(quad):
+        if max(map(abs, quad)) > 5000:
+            if sys.argv[1] == "die":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError(f"injected fault at {quad}")
+        return canonicalize(quad)
+
+    search.canonicalize = failing
+code = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child process", file=sys.stderr)
+print("workers", workers, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def limit_file_size(size: int | None):
+    """A ``preexec_fn`` that limits the size of a file the process writes
+    (``ulimit -f``) to ``size`` bytes, or None for no limit."""
+    if size is None:
+        return None
+    import resource
+
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (size, hard))
+
+
+def search_probe(tmp_path, mode: str, *argv: str, file_size: int | None = None) -> subprocess.Popen:
+    # about 670 KB of records, far more than a pipe buffers
+    cfg = {"seeds": [[1, 6, 8, 9], [3, 4, 5, 6]], "u_range": [-40, 40], "v_range": [-40, 40]}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    args = ["search", "--config", write_config(tmp_path, cfg), *argv]
+    return subprocess.Popen(
+        [sys.executable, "-c", SEARCH_PROBE, mode, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        preexec_fn=limit_file_size(file_size),
+    )
+
+
+def test_forked_search_subprocess_leaves_no_process_running(tmp_path):
+    with search_probe(tmp_path, "run") as proc:
+        out, err = proc.communicate(timeout=120)
+    with search_probe(tmp_path, "run", "--threads", "1") as proc:
+        serial, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert out == serial and len(out) > 1 << 16
+    assert err.decode().endswith("no child process\nworkers [2]\n")
+
+
+def test_forked_search_into_closed_stdout_exits_1_and_leaves_no_process(tmp_path):
+    with search_probe(tmp_path, "run") as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert err.endswith("no child process\nworkers [2]\n")
+
+
+def test_a_forked_search_worker_error_reads_as_the_serial_one(tmp_path):
+    reports = {}
+    for threads in ["1", "2"]:
+        with search_probe(tmp_path, "fail", "--threads", threads) as proc:
+            _, err = proc.communicate(timeout=120)
+        reports[threads] = proc.returncode, err.decode()
+    assert reports["1"][1].endswith("no child process\nworkers []\n")
+    assert reports["2"][1].endswith("no child process\nworkers [2]\n")
+    serial, forked = (report[1].splitlines()[0] for report in (reports["1"], reports["2"]))
+    assert serial.startswith("error: injected fault at (")
+    assert (reports["2"][0], forked) == (reports["1"][0], serial) == (2, serial)
+
+
+def test_forked_search_under_a_file_size_limit_writes_the_serial_bytes(tmp_path):
+    # each block's result, about 10 KB, is over the limit for its memfd
+    with search_probe(tmp_path, "run", file_size=4096) as proc:
+        out, err = proc.communicate(timeout=120)
+    with search_probe(tmp_path, "run", "--threads", "1") as serial_proc:
+        serial, _ = serial_proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out == serial
+    assert err.decode().endswith("no child process\nworkers [2]\n")
+
+
+def test_a_killed_search_worker_is_an_error_line_and_leaves_no_process(tmp_path):
+    with search_probe(tmp_path, "die", "--threads", "2") as proc:
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode() == (
+        "error: a worker process ended without sending its result\n"
+        "no child process\nworkers [2]\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "u_range,v_range,mode",
+    [
+        ([-3, 4], [-600_000, 600_000], "cubic"),  # rows of 1,200,001 points
+        ([-20_000, 20_000], [0, 0], "cubic"),  # rows of one point
+        ([-150, 150], [-150, 150], "cubic"),
+        ([-20_000, 20_000], [-5, 5], "Q:1,2"),
+    ],
+)
+def test_forked_search_jobs_hold_at_most_block_points_in_scan_order(
+    monkeypatch, u_range, v_range, mode
+):
+    cfg = SearchConfig.from_dict(
+        {"seeds": [[1, 6, 8, 9]], "u_range": u_range, "v_range": v_range, "modes": [mode]}
+    )
+    cfg = cfg._replace(dedupe=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    taken = []
+
+    def spy(function, jobs, workers):
+        taken.extend(jobs)
+        raise KeyboardInterrupt  # before any worker is forked
+
+    monkeypatch.setattr(forks, "forked_map", spy)
+    with pytest.raises(KeyboardInterrupt):
+        search.write_search(cfg, io.StringIO(), threads=2)
+    us, vs = range(u_range[0], u_range[1] + 1), range(v_range[0], v_range[1] + 1)
+    if mode != "cubic":
+        vs = range(1)
+    u, v = us.start, vs.start  # the first point no job has covered yet
+    for _, rows, columns in taken:
+        columns = columns if mode == "cubic" else vs
+        assert (rows.start, columns.start) == (u, v)
+        assert len(rows) * len(columns) <= search._BLOCK_POINTS
+        if columns.stop == vs.stop:
+            u, v = rows.stop, vs.start
+        else:
+            assert len(rows) == 1
+            v = columns.stop
+    assert (u, v) == (us.stop, vs.start)
+
+
+def test_verify_subprocess_under_a_file_size_limit(tmp_path):
+    buf = io.StringIO()
+    write_records(run_search(SearchConfig.from_dict(FORKED_CONFIGS["cubic"][0])), buf)
+    path = tmp_path / "large.jsonl"
+    path.write_text(buf.getvalue() * (2 * cli._BLOCK_BYTES // len(buf.getvalue()) + 1))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_CHILD_PROBE, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=limit_file_size(4096),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, tail = proc.stdout.split("}\n")
+    assert json.loads(report + "}")["verified"] is True
+    assert tail == "no child process\nworkers [2]\n"
+
+
+def rewrite_truncated(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def rewrite_shifted(path: Path) -> None:
+    # the same size and mtime, each line end moved on by one byte
+    info = path.stat()
+    data = path.read_bytes()
+    path.write_bytes(b" " + data[:-1])
+    os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns))
+
+
+def rewrite_appended(path: Path) -> None:
+    with path.open("ab") as fh:
+        fh.write(b"\n")
+
+
+@pytest.mark.parametrize("rewrite", [rewrite_truncated, rewrite_shifted, rewrite_appended])
+def test_verify_of_a_file_changed_while_checked_is_an_error(capsys, monkeypatch, tmp_path, rewrite):
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(mixed_jsonl(), encoding="utf-8")
+    sizes = pool_sizes(monkeypatch, 2)
+    forked_map = forks.forked_map  # the spy, which counts the workers
+
+    def rewrite_first(function, jobs, workers):
+        rewrite(path)
+        return forked_map(function, jobs, workers)
+
+    monkeypatch.setattr(forks, "forked_map", rewrite_first)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: the file changed while it was checked\n"
+    assert sizes == [2]
+    assert no_child_process()
