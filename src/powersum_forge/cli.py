@@ -18,7 +18,8 @@ is decoded as the whole file would be and checked by
 :func:`search.scan_records`; the blocks' counts and failures are merged
 in order, their line numbers offset, so the report is the same bytes
 however the file is cut.  A regular file of more than one block is
-checked by forked worker processes, up to one for each CPU.
+checked by forked worker processes, up to one for each CPU and one for
+each block.
 
 ``search`` writes a large grid's records from forked worker processes,
 up to one for each CPU or ``--threads``, as :func:`search.write_search`
@@ -34,7 +35,7 @@ import json
 import os
 import stat
 import sys
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 from . import render
 from .exactcore import bernoulli, json_int
@@ -191,7 +192,7 @@ def _check_block(block: bytes) -> tuple[int, int, list[tuple[int, str]]]:
 
 
 def _check_blocks(
-    blocks: Iterable[bytes], raw: BinaryIO
+    blocks: Iterator[bytes], raw: BinaryIO
 ) -> list[tuple[int, int, list[tuple[int, str]]]]:
     """:func:`_check_block` of each block, in order.
 
@@ -202,24 +203,27 @@ def _check_blocks(
     own blocks from the file with ``os.pread``, so no block's bytes cross
     a pipe.  As the workers read the file again, a change to it while it
     is checked is a ValueError, not a report on other bytes than those
-    this process read.  Anything else, a pipe included, is checked in
-    this process.
+    this process read.  Anything else, a file of one block or a pipe
+    included, is checked in this process, without loading the fork helper.
     The CLI starts no thread before the workers, so ``fork`` is safe here,
     and a forked worker starts with the modules loaded instead of
     importing them.
     """
     info = os.fstat(raw.fileno())
-    size_blocks = -(-info.st_size // _BLOCK_BYTES)
+    first = next(blocks, b"")
+    blocks = itertools.chain([first], blocks)
     workers = 1
-    if stat.S_ISREG(info.st_mode) and size_blocks > 1:
+    if stat.S_ISREG(info.st_mode) and len(first) < info.st_size:  # a second block follows
         from . import forks, search  # noqa: F401  (search loaded once here, not in each worker)
 
-        workers = forks.worker_count(None, size_blocks)
+        workers = forks.worker_count(None, 2)  # 2 with a second CPU to run on
+    del first  # not held while the next block is read
     if workers < 2:
         return list(map(_check_block, blocks))
     lengths = [len(block) for block in blocks]
     spans = list(zip(lengths, itertools.accumulate(lengths, initial=0)))  # (size, offset)
     fd, end = raw.fileno(), sum(lengths)
+    workers = forks.worker_count(None, len(spans))
     with forks.forked_map(lambda span: _check_span(fd, end, *span), spans, workers) as checked:
         results = list(checked)
     changed = os.fstat(fd)

@@ -441,7 +441,9 @@ def write_search(
     ``_BLOCK_POINTS`` points on forked worker processes, at most
     ``threads`` of them and one for each CPU this process may run on; the
     bytes and counts are the same.  Each worker scans a block with a
-    ``seen`` set of its own, and this process dedupes the blocks' records
+    ``seen`` set of its own and sends its result down a pipe, which holds
+    the worker to about one block ahead of this process
+    (:func:`forks.forked_map`); this process dedupes the blocks' records
     in scan order against one set, as :func:`_merge_blocks` says.
     """
     _check_guardrail(cfg)

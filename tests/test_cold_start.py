@@ -2,6 +2,7 @@
 import only what they run.  These tests assert module sets, never timings."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -91,14 +92,22 @@ def test_unknown_name_is_attribute_error_and_submodules_still_import():
 
 
 def test_import_and_a_small_verify_load_no_multiprocessing(tmp_path, bare_modules):
+    from powersum_forge import search
     from powersum_forge.cubic import CubicQuadruple
     from powersum_forge.search import SearchConfig, run_search, write_records
 
     path = tmp_path / "small.jsonl"
     cfg = SearchConfig(seeds=(CubicQuadruple(1, 6, 8, 9),), u_range=(-3, 3), v_range=(-3, 3))
     write_records(run_search(cfg), str(path))
+    # a relation-mode search of 4,001 points, under the fork threshold
+    grid = {"seeds": [[1, 6, 8, 9]], "u_range": [-2000, 2000], "v_range": [0, 0], "modes": ["Q:3,5"]}
+    grid["output"] = str(tmp_path / "grid.jsonl")
+    assert SearchConfig.from_dict(grid).lattice_points == 4001 < search._FORK_POINTS
+    (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
     imported = loaded_modules("import sys, powersum_forge; print(' '.join(sys.modules))")
     verified = loaded_modules(PROBE, "verify", str(path))
-    assert "powersum_forge.search" in verified
+    searched = loaded_modules(PROBE, "search", "--config", str(tmp_path / "grid.json"))
+    assert "powersum_forge.search" in verified & searched
+    assert "powersum_forge.forks" not in verified | searched
     if "multiprocessing" not in bare_modules:
-        assert "multiprocessing" not in imported | verified
+        assert "multiprocessing" not in imported | verified | searched

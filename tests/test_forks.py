@@ -3,8 +3,10 @@ results in job order, errors raised in the parent, no child left behind.
 No test here starts more than three processes."""
 
 import errno
+import functools
 import os
 import signal
+import time
 
 import pytest
 
@@ -41,7 +43,7 @@ def test_worker_count_is_the_least_of_threads_cpus_and_jobs(
     assert forks.worker_count(threads, jobs) == expected
 
 
-@pytest.mark.parametrize("name", ["fork", "memfd_create", "sched_getaffinity"])
+@pytest.mark.parametrize("name", ["fork", "sched_getaffinity"])
 def test_worker_count_is_one_without_fork_or_memfd(monkeypatch, name):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.delattr(os, name, raising=False)
@@ -88,19 +90,36 @@ def test_forked_map_left_early_leaves_no_child():
     assert no_child_process()
 
 
+def recorded(path: str, job: int) -> bytes:
+    """Appends ``job`` to the file ``path`` as it starts; its result is
+    more than a pipe buffers."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        os.write(fd, b"%d\n" % job)
+    finally:
+        os.close(fd)
+    return bytes(256 << 10)
+
+
+def test_the_pipe_bounds_how_far_a_worker_runs_ahead(tmp_path):
+    # A worker holds the result it is writing plus what the pipe buffers,
+    # so it cannot start a job far past the results the parent has taken.
+    path = tmp_path / "started"
+    path.touch()
+    jobs = list(range(12))
+    with forks.forked_map(functools.partial(recorded, str(path)), jobs, 2) as results:
+        assert next(results) == bytes(256 << 10)
+        time.sleep(0.5)
+        started = [int(line) for line in path.read_text().split()]
+        for worker in range(2):
+            assert len([job for job in started if job % 2 == worker and job > 0]) <= 2
+        assert list(results) == [bytes(256 << 10)] * 11
+    assert sorted(int(line) for line in path.read_text().split()) == jobs
+    assert no_child_process()
+
+
 def open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
-
-
-def test_forked_map_sends_a_result_down_the_pipe_when_its_memfd_refuses_it(monkeypatch):
-    def refuse(fd, data, offset):
-        raise OSError(errno.EFBIG, "File too large")
-
-    monkeypatch.setattr(os, "pwrite", refuse)  # in the workers, forked after
-    jobs = list(range(9))
-    with forks.forked_map(sized, jobs, 2) as results:
-        assert list(results) == list(map(sized, jobs))
-    assert no_child_process()
 
 
 def test_forked_map_runs_in_process_when_a_worker_cannot_be_forked(monkeypatch):
