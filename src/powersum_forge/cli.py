@@ -13,8 +13,10 @@ only for its own subcommand: ``relation`` never loads ``search`` or
 reads a decimal string, an optional sign and ASCII digits.
 
 ``verify`` reads its file as bytes, in blocks that each end on a line's
-end, and never seeks, so it reads a pipe as it reads a file.  Each block
-is decoded as the whole file would be and checked by
+end, and never seeks, so it reads a pipe as it reads a file.  A file of
+one block holding one JSON object with a ``q`` key is a form file, whose
+identity is checked; anything else is JSON lines.  Each block of a JSON
+lines file is decoded as the whole file would be and checked by
 :func:`search.scan_records`; the blocks' counts and failures are merged
 in order, their line numbers offset, so the report is the same bytes
 however the file is cut.  A regular file of more than one block is
@@ -154,8 +156,8 @@ def cmd_sandor(args) -> tuple[int, str]:
     return OK, _emit(render.form_quadruple_to_json(fq, content=content))
 
 
-#: Bytes ``verify`` reads of a JSONL file at a time; each block it checks
-#: runs on to the end of the line they end in.
+#: Bytes ``verify`` reads of a file at a time; each block it checks runs
+#: on to the end of the line they end in.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -170,7 +172,7 @@ def _blocks(raw: BinaryIO) -> Iterator[bytes]:
 
 
 def _text(block: bytes) -> io.TextIOWrapper:
-    """The lines of a block, decoded as a text file is opened for ``verify``:
+    """A block as text, decoded as a text file is opened for ``verify``:
     UTF-8 with universal newlines, where a byte that is not UTF-8 becomes a
     surrogate escape and fails only its own line."""
     return io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", errors="surrogateescape")
@@ -242,31 +244,16 @@ def _check_span(fd: int, end: int, size: int, offset: int) -> tuple[int, int, li
     return _check_block(block)
 
 
-def _read_lines(blocks: Iterator[bytes], read: list[bytes]) -> Iterator[str]:
-    """The lines of ``blocks``, each block appended to ``read`` as it is reached."""
-    for block in blocks:
-        read.append(block)
-        yield from _text(block)
+def _form_document(block: bytes) -> dict | None:
+    """The form-quadruple object a file's one block holds, or None.
 
-
-def _form_document(lines: Iterator[str]) -> dict | None:
-    """The form-quadruple object a file's lines hold, or None for a JSONL file.
-
-    A form file is one object with a ``q`` key, on one line or
-    pretty-printed; it is read whole only when its first line is not a
-    complete value and its second does not open a new object.
+    A form file is one block holding one JSON object with a ``q`` key,
+    on one line or pretty-printed; anything else is JSON lines.
     """
-    first = next((line for line in lines if line.strip()), "")
     try:
-        obj = json.loads(first)
+        obj = json.loads(_text(block).read())
     except (ValueError, RecursionError):  # RecursionError: nested too deeply
-        obj = None
-        second = next(lines, "")
-        if not second.startswith("{"):
-            try:
-                obj = json.loads(first + second + "".join(lines))
-            except (ValueError, RecursionError):
-                pass
+        return None
     return obj if isinstance(obj, dict) and "q" in obj else None
 
 
@@ -280,13 +267,16 @@ def cmd_verify(args) -> tuple[int, str]:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     with raw:
         blocks = _blocks(raw)
-        read: list[bytes] = []
-        obj = _form_document(_read_lines(blocks, read))
+        first = next(blocks, b"")
+        obj = _form_document(first)
+        if obj is not None and (more := next(blocks, None)) is not None:
+            obj, blocks = None, itertools.chain([more], blocks)
+            del more
         if obj is None:
-            # Check from the first line again without seeking, as a pipe
-            # cannot; the chain drops the blocks read once it is past them.
-            blocks = itertools.chain(read, blocks)
-            del read
+            # Check from the first block again without seeking, as a pipe
+            # cannot; the chain drops each block once it is past it.
+            blocks = itertools.chain([first], blocks)
+            del first
             failures: list[str] = []
             count = offset = 0
             for lines, records, failed in _check_blocks(blocks, raw):

@@ -489,7 +489,7 @@ def _scan_block(cfg: SearchConfig, job: tuple) -> tuple:
     ``seen`` set and degenerate points of its own: its four counts, its
     degenerate points by ``u``, the reflected intervals it took out,
     uncounted, as ``(key, lo, hi, centre)``, the ``_REDUCED`` text of
-    each record (dedupe on), and the length of each line and their text.
+    each record (dedupe on), and the text of its lines.
     """
     (seed, ratio, mode, family), rows, columns = job
     stats = SearchStats()
@@ -503,7 +503,7 @@ def _scan_block(cfg: SearchConfig, job: tuple) -> tuple:
     encode = _line_encoder(seed, ratio, keys)
     lines = list(_scan(points, cfg, line_rule, zeros, seen, stats, encode))
     counts = stats.evaluated, stats.degenerate, stats.duplicates, stats.emitted
-    return counts, zeros, intervals, keys, list(map(len, lines)), "".join(lines)
+    return counts, zeros, intervals, keys, "".join(lines)
 
 
 def _merge_blocks(
@@ -518,12 +518,10 @@ def _merge_blocks(
     earlier one), and a record whose canonical quadruple an earlier block
     emitted is dropped as a duplicate.
     """
-    from itertools import accumulate
-
     seen: set[str] = set()
     grid = zeros = None
     for (grid_of_job, *_), result in zip(jobs, blocks):
-        counts, block_zeros, intervals, keys, lengths, text = result
+        counts, block_zeros, intervals, keys, text = result
         evaluated, degenerate, duplicates, emitted = counts
         stats.evaluated += evaluated
         stats.degenerate += degenerate
@@ -539,16 +537,13 @@ def _merge_blocks(
         for interval in intervals:
             _settle(zeros, stats, *interval)
         if not seen.isdisjoint(keys):
-            pieces, start, prev = [], 0, 0
-            for key, end in zip(keys, accumulate(lengths)):
-                if key in seen:  # the line text[prev:end]
-                    pieces.append(text[start:prev])
-                    start = end
-                prev = end
-            pieces.append(text[start:])
-            stats.emitted -= len(pieces) - 1
-            stats.duplicates += len(pieces) - 1
-            text = "".join(pieces)
+            # A record line is ASCII digits, quotes and punctuation with one
+            # trailing "\n", so splitlines cuts the text into its lines.
+            lines = text.splitlines(keepends=True)
+            kept = [line for key, line in zip(keys, lines) if key not in seen]
+            stats.emitted -= len(lines) - len(kept)
+            stats.duplicates += len(lines) - len(kept)
+            text = "".join(kept)
         seen.update(keys)
         yield text
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -429,6 +430,29 @@ def test_verify_compact_one_line_form_file(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert json.loads(out)["identity"] == "square"
+
+
+@pytest.mark.parametrize("padding,after", [(0, "record"), (0, "form"), (cli._BLOCK_BYTES, "record")])
+def test_verify_reads_every_line_after_a_one_line_form(capsys, tmp_path, padding, after):
+    form = run_json(capsys, "sandor", "1", "6", "8", "9", "--reduce")
+    lines = [json.dumps({**form, "pad": "x" * padding} if padding else form)]
+    if after == "form":
+        lines.append(json.dumps(form))
+    else:
+        cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [1, 1], "v_range": [2, 2]}
+        _, good, _ = run(capsys, "search", "--config", write_config(tmp_path, cfg))
+        lines.append(json.dumps({**json.loads(good), "content": "2"}))  # it is 1
+    path = tmp_path / "form-then-more.json"
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out, _ = run(capsys, "verify", str(path))
+    report = json.loads(out)
+    assert code == 1 and report["records"] == 2 and len(report["failures"]) == 2
+    assert report["failures"][0].startswith("line 1: ")
+    if after == "record":
+        assert report["failures"][1] == (
+            "line 2: raw tuple (1, 12, -10, 9) canonicalizes to (-10, 1, 12, 9) content 1, "
+            "record says (-10, 1, 12, 9) content 2"
+        )
 
 
 def test_verify_jsonl_reports_bad_lines(capsys, tmp_path):
@@ -1042,6 +1066,27 @@ def test_verify_reads_a_fifo_in_blocks_in_this_process(capsys, monkeypatch, tmp_
     expected = json.dumps({**json.loads(out), "file": str(fifo)}, indent=2) + "\n"
     assert capsys.readouterr().out == expected
     assert sizes == []
+
+
+def test_verify_holds_one_block_of_a_file_with_a_malformed_first_line(capsys, monkeypatch, tmp_path):
+    cfg = SearchConfig(seeds=(CubicQuadruple(1, 6, 8, 9),), u_range=(-6, 6), v_range=(-6, 6))
+    buf = io.StringIO()
+    write_records(run_search(cfg), buf)
+    path = tmp_path / "large.jsonl"
+    path.write_text("not json\n\n" + buf.getvalue() * ((8 << 20) // len(buf.getvalue())))
+    del buf
+    size = path.stat().st_size
+    pool_sizes(monkeypatch, 1)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["failures"] == ["line 1: Expecting value: line 1 column 1 (char 0)"]
+    assert peak < size // 2
 
 
 # --- search on forked workers -----------------------------------------------------
