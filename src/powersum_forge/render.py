@@ -104,7 +104,7 @@ def form_quadruple_to_json(
 
 def form_quadruple_from_json(obj: dict) -> FormQuadruple | SquareFormQuadruple:
     """A form quadruple from its JSON object; malformed input raises
-    ValueError naming the field."""
+    ValueError naming the field.  A ``seed`` absent or null is no seed."""
     if not isinstance(obj, dict):
         raise ValueError("a form quadruple must be a JSON object")
     raw_forms = obj.get("q")
@@ -112,7 +112,7 @@ def form_quadruple_from_json(obj: dict) -> FormQuadruple | SquareFormQuadruple:
         raise ValueError("field 'q' must be a list of 4 forms")
     forms = [form_from_json(f, f"q[{i}]") for i, f in enumerate(raw_forms)]
     seed_values = obj.get("seed")
-    if seed_values:
+    if seed_values is not None:
         seed_values = json_ints(seed_values, "seed", 4)
     identity = obj.get("identity", "cubic")
     if identity not in ("cubic", "square"):

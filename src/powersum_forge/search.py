@@ -62,15 +62,16 @@ stdout.  Once per seed and ratio their fields are filled in, and the
 rest of each line is filled in from the search loop's values by
 :func:`write_search`, which the CLI runs, or from a record's fields by
 :func:`write_records`.  :func:`scan_records` reads those lines back and
-re-verifies each one, taking a seed's :class:`CubicQuadruple` and ratio
-from one small cache keyed on its integers, :func:`_seed_state`.  A
-line in the template's exact form is read by one regular expression
-derived from that template, and takes the seed and ratio of the
-template line before it when their strings are the same; any other line
-is read by ``json.loads`` and :meth:`SolutionRecord.from_json`, which
-alone word the errors, and every record, read either way, goes through
-:func:`verify_record`.  The lines are independent of each other, so
-``verify`` scans a large file's blocks of lines in parallel processes.
+re-verifies each one, taking a seed's :class:`CubicQuadruple`, ratio
+and line encoder from one small cache keyed on its integers,
+:func:`_seed_state`.  A line is first read by re-encoding it: its
+``seed``, ``uv`` and ``raw`` integers are read, every other field is
+derived from them with the search's own code, and the line is accepted
+when the seed's encoder writes it byte for byte.  Any other line is read
+by ``json.loads`` and :meth:`SolutionRecord.from_json`, and checked by
+:func:`verify_record`, which alone word the errors.  The lines are
+independent of each other, so ``verify`` scans a large file's blocks of
+lines in parallel processes.
 """
 
 from __future__ import annotations
@@ -79,10 +80,9 @@ import functools
 import json
 import math
 import os
-import re
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .cubic import (
     CubicQuadruple,
@@ -205,16 +205,10 @@ class SolutionRecord(NamedTuple):
     @classmethod
     def from_json(cls, obj: dict) -> "SolutionRecord":
         """A record from its JSON object; a field that is not a whole
-        number (or a list of them) raises ValueError naming it.
-
-        The record shares the ratio object of :func:`_seed_state` when
-        its own ``ratio`` matches it term for term.
-        """
-        seed, ratio = _seed_state(json_ints(obj["seed"], "seed", 4))
+        number (or a list of them) raises ValueError naming it."""
+        seed = _seed_state(json_ints(obj["seed"], "seed", 4))[0]
         num = json_int(obj["ratio"]["num"], "ratio.num")
-        den = json_int(obj["ratio"]["den"], "ratio.den")
-        if num != ratio.numerator or den != ratio.denominator:
-            ratio = Fraction(num, den)
+        ratio = Fraction(num, json_int(obj["ratio"]["den"], "ratio.den"))
         taxicab = obj.get("taxicab")
         return cls(
             seed,
@@ -228,11 +222,13 @@ class SolutionRecord(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _seed_state(values: IntQuad) -> tuple[CubicQuadruple, Fraction]:
+def _seed_state(values: IntQuad) -> tuple[CubicQuadruple, Fraction, Callable[..., str]]:
     """The seed of four integers (validated by :func:`json_ints`, so
-    ``1.0`` or ``true`` never reach the key) and its ratio."""
+    ``1.0`` or ``true`` never reach the key), its ratio and the
+    :func:`_line_encoder` of both."""
     seed = CubicQuadruple(*values)
-    return seed, fraction_ratio(seed)
+    ratio = fraction_ratio(seed)
+    return seed, ratio, _line_encoder(seed, ratio)
 
 
 def verify_record(record: SolutionRecord) -> None:
@@ -253,8 +249,7 @@ def verify_record(record: SolutionRecord) -> None:
             f"record says {record.reduced} content {record.content}"
         )
     ratio = _seed_state(record.seed.as_tuple)[1]
-    # A record read by from_json shares this ratio object when they agree.
-    if record.ratio is not ratio and record.ratio != ratio:
+    if record.ratio != ratio:
         raise ValueError(f"seed {record.seed.as_tuple} has ratio {ratio}")
     if detect_taxicab(record.reduced) != record.taxicab:
         raise ValueError(f"taxicab tag mismatch for {record.reduced}")
@@ -797,17 +792,9 @@ _RECORD_LINE = (
 _REDUCED = '%d","%d","%d","%d'
 
 
-#: The reading side of ``_RECORD_LINE``: each ``%d`` becomes a group of
-#: an optional minus and ASCII digits, and the taxicab ``%s`` is ``null``
-#: or such a group in quotes.  Nothing else may differ, not even
-#: whitespace, so every line it matches is a line ``json.loads`` reads
-#: as the same record.  It is compiled by :func:`scan_records`, not at import.
-_RECORD_PATTERN = (
-    re.escape(_RECORD_LINE[:-1])
-    .replace("%d", "(-?[0-9]+)")
-    .replace("%s", '(?:null|"(-?[0-9]+)")')
-    + r"\n?\Z"
-)
+#: Where ``line.split('"')`` puts the ten integers of a record line that
+#: the others are derived from: ``seed``, ``uv`` and ``raw``.
+_KEY_FIELDS = [i for i, part in enumerate(_RECORD_LINE.split('"')) if part == "%d"][:10]
 
 
 def write_records(records: Iterable[SolutionRecord], destination: str | Path | IO[str]) -> int:
@@ -816,11 +803,11 @@ def write_records(records: Iterable[SolutionRecord], destination: str | Path | I
 
 
 def _record_lines(records: Iterable[SolutionRecord]) -> Iterator[str]:
-    """The line of each record, from the encoder of its seed and ratio
-    objects, made again whenever either object changes."""
+    """The line of each record, from the encoder of its seed and ratio,
+    made again whenever the seed object or the ratio's value changes."""
     seed = ratio = object()
     for r in records:
-        if r.seed is not seed or r.ratio is not ratio:
+        if r.seed is not seed or r.ratio is not ratio and r.ratio != ratio:
             seed, ratio = r.seed, r.ratio
             line = _line_encoder(seed, ratio)
         yield line(r.uv, r.raw, r.reduced, r.content, r.taxicab)
@@ -850,67 +837,57 @@ def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | E
     on, so its memory is that of whatever holds ``lines``: one line for
     an open file, one block of lines for ``verify`` on a large file.
 
-    A line exactly as :func:`write_records` writes it is decoded by
-    ``_RECORD_PATTERN``; every other line, and one whose fields the
-    pattern's decoder cannot convert, goes through ``json.loads`` and
-    :meth:`SolutionRecord.from_json`.  A template line whose seed and
-    ratio strings are those of the template line before it takes that
-    line's seed and ratio without reading them again.
+    A line exactly as :func:`write_records` writes it, with or without
+    its final newline, is read by :func:`_encoded_record`; every other
+    line goes through ``json.loads``, :meth:`SolutionRecord.from_json`
+    and :func:`verify_record`, which alone word the errors.
     """
-    match = re.compile(_RECORD_PATTERN).match  # cached by re after the first call
-    seed_text = seed_state = None  # the last template line's seed and ratio strings, read
     for lineno, line in enumerate(lines, start=1):
-        template = match(line)
-        if template is None and not line.strip():
-            continue
-        try:
-            record = None
-            if template is not None:
-                groups = template.groups()
-                try:
-                    text = groups[:4] + groups[15:17]
-                    if text != seed_text:
-                        seed_state = _template_seed(text)
-                        seed_text = text
-                    record = _record_from_groups(groups, seed_state)
-                except (ArithmeticError, ValueError):
-                    pass  # reported by from_json below, in its own words
-            if record is None:
+        record = _encoded_record(line)
+        if record is None:
+            if not line.strip():
+                continue
+            try:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("not a JSON object")
                 record = SolutionRecord.from_json(obj)
-            verify_record(record)
-        except (ArithmeticError, IndexError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            yield lineno, exc
-        else:
-            yield lineno, record
+                verify_record(record)
+            except (ArithmeticError, IndexError, KeyError, TypeError, ValueError, RecursionError) as exc:
+                yield lineno, exc
+                continue
+        yield lineno, record
 
 
-def _template_seed(text: tuple[str, ...]) -> tuple[CubicQuadruple, Fraction]:
-    """The seed and ratio of a template line's four seed and two ratio
-    strings, as :meth:`SolutionRecord.from_json` reads them: the ratio of
-    :func:`_seed_state` when the line's own matches it term for term.
-    Raises ValueError for a field over ``int``'s digit limit, and as
-    :func:`_seed_state` or ``Fraction`` do."""
-    a, b, c, d, num, den = map(int, text)
-    seed, ratio = _seed_state((a, b, c, d))
-    if num != ratio.numerator or den != ratio.denominator:
-        ratio = Fraction(num, den)
-    return seed, ratio
+def _encoded_record(line: str) -> SolutionRecord | None:
+    """The record of a line that its seed's encoder writes byte for byte,
+    with or without the final newline; None for any other line.
 
-
-def _record_from_groups(
-    groups: tuple[str | None, ...], seed_state: tuple[CubicQuadruple, Fraction]
-) -> SolutionRecord:
-    """The record of one ``_RECORD_PATTERN`` match whose seed and ratio
-    :func:`_template_seed` has read; raises ValueError for a field over
-    ``int``'s digit limit."""
-    u, v, r1, r2, r3, r4, x1, x2, x3, x4, content = map(int, groups[4:15])
-    taxicab = None if groups[17] is None else int(groups[17])
-    seed, ratio = seed_state
-    fields = seed, (u, v), (r1, r2, r3, r4), (x1, x2, x3, x4), content, ratio, taxicab
-    return SolutionRecord._make(fields)
+    Only ``seed``, ``uv`` and ``raw`` are read.  ``raw`` must have no zero
+    entry and canonicalize to a solution of the cubic equation, as
+    :func:`verify_record` asks; the other fields are derived from it as
+    the search derives them, so an accepted line is one that
+    :func:`verify_record` passes.  A line too short, an integer ``int``
+    cannot read (over its digit limit, say) or an invalid seed gives None.
+    """
+    parts = line.split('"', 26)  # split no further than the last key field, parts[25]
+    try:
+        a, b, c, d, u, v, *raw = [int(parts[i]) for i in _KEY_FIELDS]
+        seed, ratio, encode = _seed_state((a, b, c, d))
+        raw = tuple(raw)
+        if 0 in raw:
+            return None
+        reduced, content = canonicalize(raw)
+        x1, x2, x3, x4 = reduced
+        if x1**3 + x2**3 + x3**3 != x4**3:
+            return None
+        taxicab = detect_taxicab(reduced)
+        text = encode((u, v), raw, reduced, content, taxicab)  # a taxicab over int's digit limit
+    except (IndexError, ValueError):
+        return None
+    if line != text and line != text[:-1]:
+        return None
+    return SolutionRecord(seed, (u, v), raw, reduced, content, ratio, taxicab)
 
 
 def load_records(path: str | Path) -> list[SolutionRecord]:

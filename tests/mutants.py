@@ -1,0 +1,149 @@
+"""Mutation run: each proof gate, and each check of the record-line reader,
+must fail a test when it is taken out.
+
+Run from anywhere, with pytest and hypothesis installed::
+
+    python tests/mutants.py
+
+Each mutant replaces one exact piece of text, which must occur once, in
+one file under ``src/``, and names the tests that must then fail.  The
+runner copies ``src/`` and ``tests/`` into a temporary directory, runs
+every mutant's tests there once unchanged (they must pass), then applies
+one mutant at a time, runs its tests with pytest and restores the file.
+A mutant is killed when its tests fail.  It prints one JSON object of
+the killed, surviving and equivalent mutants, and exits 1 when a mutant
+survives that ``EQUIVALENT`` does not list.  pytest does not collect
+this file: its name is outside ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest arguments, relative to the repository root
+
+
+RELATIONS = "src/powersum_forge/relations.py"
+QUADRATIC = "src/powersum_forge/quadratic.py"
+SEARCH = "src/powersum_forge/search.py"
+
+MUTANTS = [
+    Mutant(
+        "expand_relation gate",
+        RELATIONS,
+        "    if not powers_telescope(identity.polys, 3):\n",
+        "    if False:\n",
+        ("tests/test_relations.py",),
+    ),
+    Mutant(
+        "factor_common_root gate",
+        RELATIONS,
+        "    if not powers_telescope(quotient.polys, 3):\n",
+        "    if False:\n",
+        ("tests/test_relations.py",),
+    ),
+    Mutant(
+        "powersum_triple gate",
+        QUADRATIC,
+        "    if not powers_telescope([c.to_polynomial() for c in (leg_diff, leg_cross, hyp)], 2):\n",
+        "    if False:\n",
+        ("tests/test_quadratic.py",),
+    ),
+    Mutant(
+        "piezas_generate gate",
+        QUADRATIC,
+        "    if not verify_square_identity(sq):\n",
+        "    if False:\n",
+        ("tests/test_quadratic.py",),
+    ),
+    Mutant(
+        "piezas_degenerate_triple gate",
+        QUADRATIC,
+        "    if not powers_telescope([f.dehomogenize() for f in forms], 2):\n",
+        "    if False:\n",
+        ("tests/test_quadratic.py",),
+    ),
+    Mutant(
+        "record reader: zero check dropped",
+        SEARCH,
+        "        if 0 in raw:\n            return None\n        reduced, content = canonicalize(raw)\n",
+        "        reduced, content = canonicalize(raw)\n",
+        ("tests/test_search.py",),
+    ),
+    Mutant(
+        "record reader: cube check dropped",
+        SEARCH,
+        "        if x1**3 + x2**3 + x3**3 != x4**3:\n            return None\n        taxicab",
+        "        taxicab",
+        ("tests/test_search.py",),
+    ),
+    Mutant(
+        "record reader: byte comparison dropped",
+        SEARCH,
+        "    if line != text and line != text[:-1]:\n        return None\n",
+        "",
+        ("tests/test_search.py",),
+    ),
+]
+
+#: Mutants that no test can kill, each with the reason its change keeps
+#: the program's behaviour; they are reported but not counted.
+EQUIVALENT: dict[str, str] = {}
+
+
+def _passes(copy: Path, tests: tuple[str, ...]) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        proc = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=900)
+    except subprocess.TimeoutExpired:
+        return False
+    return proc.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+        every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        if not _passes(copy, every_test):
+            print("the tests fail without a mutant", file=sys.stderr)
+            return 2
+        result: dict[str, list[str]] = {"killed": [], "survived": [], "equivalent": []}
+        for mutant in MUTANTS:
+            target = copy / mutant.path
+            original = target.read_text(encoding="utf-8")
+            if original.count(mutant.old) != 1:
+                print(f"{mutant.name}: its text is not in {mutant.path} exactly once", file=sys.stderr)
+                return 2
+            target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                killed = not _passes(copy, mutant.tests)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            if mutant.name in EQUIVALENT:
+                result["equivalent"].append(mutant.name)
+            else:
+                result["killed" if killed else "survived"].append(mutant.name)
+    print(json.dumps(result, indent=2))
+    return 1 if result["survived"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -189,6 +189,25 @@ def test_verify_detects_corruption(capsys, tmp_path):
     assert json.loads(out)["verified"] is False
 
 
+@pytest.mark.parametrize("seed", [0, [], "", False, {}])
+def test_verify_refuses_a_form_file_whose_seed_is_malformed(capsys, tmp_path, seed):
+    obj = run_json(capsys, "sandor", "1", "6", "8", "9", "--reduce")
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**obj, "seed": seed}), encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: field 'seed' must be a list of 4 integers, got {seed!r}"
+
+
+def test_verify_form_file_with_a_null_seed_skips_the_characterization(capsys, tmp_path):
+    obj = run_json(capsys, "sandor", "1", "6", "8", "9", "--reduce")
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**obj, "seed": None}), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert json.loads(out) == {"file": str(path), "identity": "cubic", "verified": True}
+
+
 def test_verify_jsonl(capsys, tmp_path):
     cfg = {
         "seeds": [[1, 6, 8, 9]],

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from powersum_forge import quadratic
 from powersum_forge.cubic import evaluate_forms
 from powersum_forge.polynomials import Polynomial, powers_telescope
 from powersum_forge.powersums import PowerSumCombo, extract_common_factor, square
@@ -208,3 +209,27 @@ def test_equal_sums_derivation_from_triples():
         return Polynomial({0: e.coefficient(3), 1: 2 * e.coefficient(5)})
 
     assert tuple(in_x(e) for e in exprs) == equal_sums_polynomials()
+
+
+# --- each proof gate refuses a wrong input ----------------------------------
+
+
+def forged_quadruple(*values) -> PythagoreanQuadruple:
+    """A quadruple that skips the constructor's checks."""
+    return tuple.__new__(PythagoreanQuadruple, values)
+
+
+def test_piezas_generate_refuses_a_forged_quadruple():
+    with pytest.raises(RuntimeError, match="generated square quadruple failed verification"):
+        piezas_generate(forged_quadruple(1, 2, 2, 4))
+
+
+def test_piezas_degenerate_triple_refuses_a_forged_quadruple():
+    with pytest.raises(RuntimeError, match="degenerate triple failed verification"):
+        piezas_degenerate_triple(forged_quadruple(1, 3, 4, 6), 5)
+
+
+def test_powersum_triple_refuses_a_wrong_square(monkeypatch):
+    monkeypatch.setattr(quadratic, "square", lambda k: square(k) + 1)
+    with pytest.raises(RuntimeError, match="power-sum triple failed verification"):
+        powersum_triple(2, 1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from powersum_forge import relations
 from powersum_forge.cubic import BinaryQuadraticForm, CubicQuadruple, FormQuadruple, content_reduce, sandor_generate
 from powersum_forge.polynomials import Polynomial, powers_telescope
 from powersum_forge.powersums import PowerSumCombo, product, s1_power, s2_s1_power, square
@@ -268,3 +269,29 @@ def test_expand_relation_consistency_guard():
         Fraction(1),
     )
     assert not powers_telescope(bogus.polys, 3)
+
+
+# --- each proof gate refuses a wrong input ----------------------------------
+
+
+def test_expand_relation_refuses_a_combo_with_one_weight_moved():
+    cq = eq19_relation()
+    first = cq.combos[0]
+    e, weight = next(iter(first.terms.items()))
+    moved = PowerSumCombo({**first.terms, e: weight + 1})
+    with pytest.raises(RuntimeError, match="expanded relation failed cubic verification"):
+        expand_relation(cq._replace(combos=(moved, *cq.combos[1:])))
+
+
+def test_factor_common_root_refuses_a_quotient_with_one_coefficient_moved(monkeypatch):
+    strip = relations._strip_forced_roots
+
+    def moved(polys):
+        quotients, s, t = strip(polys)
+        num = list(quotients[0]._num)
+        num[-1] += quotients[0]._den
+        return [Polynomial._from_ints(num, quotients[0]._den), *quotients[1:]], s, t
+
+    monkeypatch.setattr(relations, "_strip_forced_roots", moved)
+    with pytest.raises(RuntimeError, match="factored relation failed cubic verification"):
+        factor_common_root(expand_relation(eq19_relation()))

@@ -3,15 +3,11 @@ import io
 import itertools
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from powersum_forge import search
@@ -1145,7 +1141,6 @@ def test_scan_records_of_many_lines_matches_each_line_alone(lines):
 def test_scan_records_words_a_field_too_long_for_int_after_a_line_of_its_seed_as_from_json(path):
     line = encode([r for r in FOUND_RECORDS if r.taxicab][:1])
     bad = json.dumps(with_field(json.loads(line), path, "9" * 5000), separators=(",", ":")) + "\n"
-    assert re.compile(search._RECORD_PATTERN).match(bad)
     items = list(scan_records([line, bad, line]))
     assert [type(x) for _, x in items] == [SolutionRecord, ValueError, SolutionRecord]
     assert (ValueError, str(items[1][1])) == reference_scan(bad)
@@ -1158,33 +1153,54 @@ def test_scan_records_reads_the_ratio_of_each_template_line_of_one_seed(ratio):
     obj = json.loads(line)
     assert obj["ratio"] == {"num": "3", "den": "1"}
     other = json.dumps({**obj, "ratio": dict(zip(("num", "den"), ratio))}, separators=(",", ":")) + "\n"
-    assert re.compile(search._RECORD_PATTERN).match(other)
     lines = [line, other, line, other]
     got = [(type(x), str(x)) if isinstance(x, Exception) else x for _, x in scan_records(lines)]
     assert got == [scanned(x) for x in lines]
 
 
-def test_record_pattern_matches_encoder_lines_only():
+def test_scan_records_reads_encoder_lines_only_without_json_loads(monkeypatch):
     line = encode(FOUND_RECORDS[:1])
-    match = re.compile(search._RECORD_PATTERN).match
-    assert match(line) and match(line[:-1])
+    loads, read = search.json.loads, []
+    monkeypatch.setattr(search.json, "loads", lambda text: read.append(text) or loads(text))
+    assert scanned(line) == scanned(line[:-1]) == FOUND_RECORDS[0]
+    assert read == []
     for other in (line[:-1] + "\r\n", line[:-1] + " ", line[:-1] + "\x0b", " " + line, line + "\n"):
-        assert match(other) is None
+        read.clear()
+        assert scanned(other) == reference_scan(other)
+        assert read[:1] == [other]
 
 
-def test_importing_the_package_compiles_no_pattern():
-    probe = (
-        "import re\n"
-        "compiled = []\n"
-        "original = re.compile\n"
-        "re.compile = lambda p, flags=0: compiled.append(p) or original(p, flags)\n"
-        "import powersum_forge.cli\n"
-        "from powersum_forge import search\n"
-        "assert search._RECORD_PATTERN not in compiled, 'compiled at import'\n"
-        "list(search.scan_records([]))\n"
-        "assert search._RECORD_PATTERN in compiled, 'not compiled by scan_records'\n"
-    )
-    src = str(Path(search.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+RELATION_RECORDS = list(
+    run_search(config([(1, 6, 8, 9)], u=(-6, 6), v=(0, 0), modes=(QMode(1, 2), FMode(2))))
+)
+
+nonzero_quads = st.tuples(*[st.one_of(st.integers(-50, 50), big).filter(bool)] * 4)
+
+
+@st.composite
+def consistent_records(draw):
+    """A found record, cubic or relation, with its ``raw`` replaced by any
+    nonzero tuple and ``reduced``, ``content`` and ``taxicab`` derived from
+    it: every field agrees with ``raw`` and the seed's own ratio, but
+    ``raw`` need not solve the cubic equation."""
+    record = draw(st.sampled_from(FOUND_RECORDS + RELATION_RECORDS))
+    raw = draw(nonzero_quads)
+    reduced, content = canonicalize(raw)
+    return record._replace(raw=raw, reduced=reduced, content=content, taxicab=detect_taxicab(reduced))
+
+
+def test_scan_records_reads_relation_records_as_json_loads_does():
+    assert {r.uv[1] for r in RELATION_RECORDS} == {0} and len(RELATION_RECORDS) > 4
+    lines = encode(RELATION_RECORDS).splitlines(keepends=True)
+    assert [scanned(line) for line in lines] == RELATION_RECORDS
+    assert [reference_scan(line) for line in lines] == RELATION_RECORDS
+
+
+@given(consistent_records())
+def test_scan_records_refuses_a_consistent_line_whose_raw_is_no_solution(record):
+    x1, x2, x3, x4 = record.reduced
+    assume(x1**3 + x2**3 + x3**3 != x4**3)
+    line = encode([record])
+    assert scanned(line) == reference_scan(line)
+    error, message = scanned(line)
+    assert error is ValueError and message.endswith("fails the cubic equation")
