@@ -194,37 +194,29 @@ def _check_block(block: bytes) -> tuple[int, int, list[tuple[int, str]]]:
 
 
 def _check_blocks(
-    blocks: Iterator[bytes], raw: BinaryIO
+    blocks: Iterator[bytes], fd: int, info: os.stat_result | None
 ) -> list[tuple[int, int, list[tuple[int, str]]]]:
-    """:func:`_check_block` of each block, in order.
+    """:func:`_check_block` of each block, in order: in this process when
+    ``info`` is None, else by forked worker processes.
 
-    A regular file of more than one block is checked by forked worker
-    processes (:func:`forks.forked_map`), one for each CPU this process
-    may run on and at most one for each block.  This process reads the
-    blocks only to find where they start and end; each worker reads its
-    own blocks from the file with ``os.pread``, so no block's bytes cross
-    a pipe.  As the workers read the file again, a change to it while it
-    is checked is a ValueError, not a report on other bytes than those
-    this process read.  Anything else, a file of one block or a pipe
-    included, is checked in this process, without loading the fork helper.
-    The CLI starts no thread before the workers, so ``fork`` is safe here,
-    and a forked worker starts with the modules loaded instead of
-    importing them.
+    ``info`` is the ``os.fstat`` of the regular file ``fd``, taken before
+    it was read.  The workers (:func:`forks.forked_map`) are one for each
+    CPU this process may run on and at most one for each block.  This
+    process reads the blocks only to find where they start and end; each
+    worker reads its own blocks from the file with ``os.pread``, so no
+    block's bytes cross a pipe.  As the workers read the file again, a
+    change to it while it is checked is a ValueError, not a report on
+    other bytes than those this process read.  The CLI starts no thread
+    before the workers, so ``fork`` is safe here, and a forked worker
+    starts with the modules loaded instead of importing them.
     """
-    info = os.fstat(raw.fileno())
-    first = next(blocks, b"")
-    blocks = itertools.chain([first], blocks)
-    workers = 1
-    if stat.S_ISREG(info.st_mode) and len(first) < info.st_size:  # a second block follows
-        from . import forks, search  # noqa: F401  (search loaded once here, not in each worker)
-
-        workers = forks.worker_count(None, 2)  # 2 with a second CPU to run on
-    del first  # not held while the next block is read
-    if workers < 2:
+    if info is None:
         return list(map(_check_block, blocks))
+    from . import forks
+
     lengths = [len(block) for block in blocks]
     spans = list(zip(lengths, itertools.accumulate(lengths, initial=0)))  # (size, offset)
-    fd, end = raw.fileno(), sum(lengths)
+    end = sum(lengths)
     workers = forks.worker_count(None, len(spans))
     with forks.forked_map(lambda span: _check_span(fd, end, *span), spans, workers) as checked:
         results = list(checked)
@@ -245,7 +237,7 @@ def _check_span(fd: int, end: int, size: int, offset: int) -> tuple[int, int, li
 
 
 def _form_document(block: bytes) -> dict | None:
-    """The form-quadruple object a file's one block holds, or None.
+    """The form object a file's one block holds, or None.
 
     A form file is one block holding one JSON object with a ``q`` key,
     on one line or pretty-printed; anything else is JSON lines.
@@ -258,6 +250,10 @@ def _form_document(block: bytes) -> dict | None:
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    """Check a form file or a JSON lines file, chosen from at most its
+    first two blocks: one block holding a form object is a form file, and
+    JSON lines are checked on forked workers only when a regular file has
+    a second block and this process may run on a second CPU."""
     from pathlib import Path
 
     path = Path(args.file)
@@ -266,20 +262,23 @@ def cmd_verify(args) -> tuple[int, str]:
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     with raw:
+        info = os.fstat(raw.fileno())
         blocks = _blocks(raw)
-        first = next(blocks, b"")
-        obj = _form_document(first)
-        if obj is not None and (more := next(blocks, None)) is not None:
-            obj, blocks = None, itertools.chain([more], blocks)
-            del more
+        head = [next(blocks, b""), *itertools.islice(blocks, 1)]
+        obj = _form_document(head[0]) if len(head) == 1 else None
         if obj is None:
+            forked = len(head) > 1 and stat.S_ISREG(info.st_mode)
+            if forked:
+                from . import forks, search  # noqa: F401  (search loaded once here, not in each worker)
+
+                forked = forks.worker_count(None, 2) > 1  # a second CPU to run on
             # Check from the first block again without seeking, as a pipe
             # cannot; the chain drops each block once it is past it.
-            blocks = itertools.chain([first], blocks)
-            del first
+            blocks = itertools.chain(head, blocks)
+            del head
             failures: list[str] = []
             count = offset = 0
-            for lines, records, failed in _check_blocks(blocks, raw):
+            for lines, records, failed in _check_blocks(blocks, raw.fileno(), info if forked else None):
                 failures += [f"line {offset + lineno}: {message}" for lineno, message in failed]
                 count += records
                 offset += lines
@@ -290,8 +289,15 @@ def cmd_verify(args) -> tuple[int, str]:
 
     from .cubic import FormQuadruple, check_characterization, verify_cubic_identity
 
-    fq = render.form_quadruple_from_json(obj)
-    if isinstance(fq, FormQuadruple):
+    if obj.get("identity") == "pythagorean-triple":  # ``quad piezas --degenerate``
+        from .polynomials import powers_telescope
+
+        if not isinstance(obj["q"], list) or len(obj["q"]) != 3:
+            raise ValueError("field 'q' must be a list of 3 forms")
+        forms = [render.form_from_json(f, f"q[{i}]") for i, f in enumerate(obj["q"])]
+        ok = powers_telescope([f.dehomogenize() for f in forms], 2)
+        detail = {"identity": "pythagorean-triple", "verified": ok}
+    elif isinstance(fq := render.form_quadruple_from_json(obj), FormQuadruple):
         ok = verify_cubic_identity(fq)
         detail = {"identity": "cubic", "verified": ok}
         if ok and fq.seed is not None:

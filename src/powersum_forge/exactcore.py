@@ -80,16 +80,8 @@ def json_int(value, field: str) -> int:
 
 
 def json_ints(values, field: str, length: int) -> tuple[int, ...]:
-    """A JSON list of exactly ``length`` integers, each read as by :func:`json_int`.
-
-    A bad entry raises ValueError naming ``field[i]``.  Well-formed
-    lists of strings are checked without a Python call per entry.
-    """
+    """A JSON list of exactly ``length`` integers, each read as by
+    :func:`json_int`; a bad entry raises ValueError naming ``field[i]``."""
     if not isinstance(values, (list, tuple)) or len(values) != length:
         raise ValueError(f"field {field!r} must be a list of {length} integers, got {values!r}")
-    try:
-        if not "".join(values).encode().translate(None, _DECIMAL_BYTES):
-            return tuple(map(int, values))
-    except (TypeError, ValueError):  # not all strings, or not all decimal
-        pass
     return tuple(json_int(x, f"{field}[{i}]") for i, x in enumerate(values))

@@ -2,15 +2,16 @@
 
 :func:`forked_map` forks its workers before anything else runs and deals
 job ``i`` to worker ``i % n``.  A worker writes each result down its own
-pipe, pickled after its length.  The write blocks while the pipe is
-full, so a worker holds the result it is writing plus whatever the pipe
-buffers: memory is bounded by the size of a result, which the caller
-bounds by the size of a job.  A worker's exception goes down the same
-pipe and is raised in the parent with its type and message.  A worker
-that ends without sending a result raises ChildProcessError in the
-parent.  Where no process or pipe can be had for the workers, the jobs
-run in this process.  Every worker ends with ``os._exit``, and the
-parent kills and reaps every worker when it leaves, at the end or early.
+pipe as a pickle, which marks its own end.  The write blocks while the
+pipe is full, so a worker holds the result it is writing plus whatever
+the pipe buffers: memory is bounded by the size of a result, which the
+caller bounds by the size of a job.  A worker's exception goes down the
+same pipe and is raised in the parent with its type and message.  A
+worker that ends before or while it sends a result raises
+ChildProcessError in the parent.  Where no process or pipe can be had
+for the workers, the jobs run in this process.  Every worker ends with
+``os._exit``, and the parent kills and reaps every worker when it
+leaves, at the end or early.
 
 Forking is safe only where no thread was started before, which holds in
 the CLI; a worker starts with its parent's modules and data in place.
@@ -22,13 +23,9 @@ import contextlib
 import os
 import pickle
 import signal
-import struct
 from typing import Callable, Iterator, Sequence
 
 __all__ = ["forked_map", "worker_count"]
-
-#: The length of a result, sent down the pipe before it.
-_MESSAGE = struct.Struct("=q")
 
 
 def worker_count(threads: int | None, jobs: int) -> int:
@@ -92,22 +89,17 @@ def _stop(pids: list[int], fds: list[int]) -> None:
 
 
 def _work(function: Callable, jobs: Sequence, pipe: int) -> None:
-    """A worker's loop: each job's result sent down ``pipe``, up to the
+    """A worker's loop: each job's result pickled down ``pipe``, up to the
     first job that raises."""
-    for job in jobs:
-        try:
-            payload = pickle.dumps((True, function(job)), pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:  # re-raised in the parent
-            _send(pipe, _pickled_error(exc))
-            return
-        _send(pipe, payload)
-
-
-def _send(pipe: int, payload: bytes) -> None:
-    """``payload`` down ``pipe`` after its length."""
-    data = memoryview(_MESSAGE.pack(len(payload)) + payload)
-    while data:
-        data = data[os.write(pipe, data) :]
+    with open(pipe, "wb") as out:
+        for job in jobs:
+            try:
+                payload = pickle.dumps((True, function(job)), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:  # re-raised in the parent
+                out.write(_pickled_error(exc))
+                return
+            out.write(payload)
+            out.flush()
 
 
 def _pickled_error(exc: BaseException) -> bytes:
@@ -119,24 +111,14 @@ def _pickled_error(exc: BaseException) -> bytes:
         return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
-def _read(pipe: int, size: int) -> bytes:
-    """``size`` bytes from a worker's ``pipe``."""
-    chunks = []
-    while size:
-        chunk = os.read(pipe, size)
-        if not chunk:
-            raise ChildProcessError("a worker process ended without sending its result")
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
 def _results(pipes: list[int], count: int) -> Iterator:
     """The workers' results in job order, job ``i`` from ``pipes[i % n]``."""
+    readers = [open(pipe, "rb", closefd=False) for pipe in pipes]
     for i in range(count):
-        pipe = pipes[i % len(pipes)]
-        (length,) = _MESSAGE.unpack(_read(pipe, _MESSAGE.size))
-        ok, value = pickle.loads(_read(pipe, length))
+        try:
+            ok, value = pickle.load(readers[i % len(readers)])
+        except (EOFError, pickle.UnpicklingError):  # the pipe ended before or in a result
+            raise ChildProcessError("a worker process ended without sending its result") from None
         if not ok:
             raise value
         yield value

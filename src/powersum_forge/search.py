@@ -34,9 +34,10 @@ so ``(u, v)`` and ``(-u, -v)`` agree: ``v`` on row ``u`` reflects to
 every expanded polynomial of ``Q:k,m`` with ``k + m`` even satisfies
 ``P(-1-u) = P(u)``, and those of ``F:k`` do not: ``u`` reflects to
 ``-1-u`` (``c = -1``).  The search never goes by the mode's name: once
-per seed and mode it checks ``P(t) == P(-1-t)`` at ``t = 0..D``, ``D``
-the largest degree, which proves the identity exactly (a nonzero
-polynomial of degree at most ``D`` has at most ``D`` roots).  With
+per seed and mode it checks ``P(t) == P(-1-t)`` at ``t = 0..ceil(D/2)-1``,
+``D`` the largest degree, which proves the identity exactly: ``P(t) -
+P(-1-t)`` is odd about ``-1/2``, so it then has ``2*ceil(D/2) + 1 > D``
+roots, more than a nonzero polynomial of degree at most ``D`` has.  With
 ``dedupe`` on, a point whose reflection is in the grid and earlier in
 scan order is not evaluated, only counted: degenerate if its reflection
 was, a duplicate otherwise.  ``evaluated`` counts every lattice point
@@ -682,11 +683,13 @@ def _reflection_holds(nums: Sequence[Sequence[int]]) -> bool:
     """True iff every polynomial (numerators ``nums``) satisfies
     ``P(-1-t) == P(t)`` identically.
 
-    ``P(t) - P(-1-t)`` has degree at most ``D``, the largest degree, so
-    agreement at the ``D + 1`` points ``t = 0..D`` proves it is zero.
+    ``R(t) = P(t) - P(-1-t)`` has degree at most ``D``, the largest
+    degree, and ``R(-1-t) = -R(t)``, so each root ``t`` gives a second,
+    ``-1-t``, and ``-1/2`` is a root: agreement at ``t = 0..ceil(D/2)-1``
+    gives ``2*ceil(D/2) + 1 > D`` roots, which proves ``R`` is zero.
     """
-    top = max(map(len, nums))  # D + 1
-    return all(_horner(num, t) == _horner(num, -1 - t) for num in nums for t in range(top))
+    top = max(map(len, nums))  # D + 1, so top // 2 is ceil(D/2)
+    return all(_horner(num, t) == _horner(num, -1 - t) for num in nums for t in range(top // 2))
 
 
 def _evaluate_family(

@@ -1,5 +1,6 @@
-"""Mutation run: each proof gate, and each check of the record-line reader,
-must fail a test when it is taken out.
+"""Mutation run: each proof gate, each check of the record-line reader,
+and each guard of the fork results and of ``verify``'s form sniff must
+fail a test when it is taken out.
 
 Run from anywhere, with pytest and hypothesis installed::
 
@@ -41,6 +42,8 @@ class Mutant(NamedTuple):
 RELATIONS = "src/powersum_forge/relations.py"
 QUADRATIC = "src/powersum_forge/quadratic.py"
 SEARCH = "src/powersum_forge/search.py"
+FORKS = "src/powersum_forge/forks.py"
+CLI = "src/powersum_forge/cli.py"
 
 MUTANTS = [
     Mutant(
@@ -98,6 +101,37 @@ MUTANTS = [
         "    if line != text and line != text[:-1]:\n        return None\n",
         "",
         ("tests/test_search.py",),
+    ),
+    Mutant(
+        "reflection proof: one point fewer",
+        SEARCH,
+        "for t in range(top // 2))",
+        "for t in range(top // 2 - 1))",
+        ("tests/test_search.py::test_relation_points_are_skipped_only_once_the_reflection_is_proven",),
+    ),
+    Mutant(
+        "fork results: a result cut short not caught",
+        FORKS,
+        "        try:\n"
+        "            ok, value = pickle.load(readers[i % len(readers)])\n"
+        "        except (EOFError, pickle.UnpicklingError):  # the pipe ended before or in a result\n"
+        '            raise ChildProcessError("a worker process ended without sending its result") from None\n',
+        "        ok, value = pickle.load(readers[i % len(readers)])\n",
+        ("tests/test_forks.py",),
+    ),
+    Mutant(
+        "verify: a form parsed from a file with a second block",
+        CLI,
+        "_form_document(head[0]) if len(head) == 1 else None",
+        "_form_document(head[0])",
+        ("tests/test_cli.py::test_verify_reads_every_line_after_a_one_line_form",),
+    ),
+    Mutant(
+        "verify: the degenerate triple taken unproven",
+        CLI,
+        "        ok = powers_telescope([f.dehomogenize() for f in forms], 2)\n",
+        "        ok = True\n",
+        ("tests/test_cli.py::test_verify_fails_a_degenerate_piezas_triple_with_a_moved_coefficient",),
     ),
 ]
 

@@ -569,6 +569,48 @@ def test_verify_form_file_without_an_identity_is_cubic(capsys, tmp_path):
     assert code == 0 and json.loads(out)["identity"] == "cubic"
 
 
+DEGENERATE_PIEZAS = ("quad", "piezas", "8", "9", "12", "17", "--degenerate", "15")
+
+
+@pytest.mark.parametrize("indent", [2, None])
+def test_verify_proves_the_degenerate_piezas_triple(capsys, tmp_path, indent):
+    obj = run_json(capsys, *DEGENERATE_PIEZAS)
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(obj, indent=indent), encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"file": str(path), "identity": "pythagorean-triple", "verified": True}
+
+
+@pytest.mark.parametrize("form,key", [(0, "alpha"), (1, "gamma"), (2, "beta")])
+def test_verify_fails_a_degenerate_piezas_triple_with_a_moved_coefficient(capsys, tmp_path, form, key):
+    obj = run_json(capsys, *DEGENERATE_PIEZAS)
+    obj["q"][form][key] = str(int(obj["q"][form][key]) + 1)
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert json.loads(out) == {"file": str(path), "identity": "pythagorean-triple", "verified": False}
+
+
+@pytest.mark.parametrize("forms", [4, 2, 0])
+def test_verify_degenerate_piezas_triple_needs_three_forms(capsys, tmp_path, forms):
+    obj = run_json(capsys, *DEGENERATE_PIEZAS)
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({**obj, "q": (obj["q"] * 2)[:forms]}), encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: field 'q' must be a list of 3 forms"
+
+
+def test_verify_degenerate_piezas_triple_reads_neither_seed_nor_e(capsys, tmp_path):
+    obj = run_json(capsys, *DEGENERATE_PIEZAS)
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({**obj, "seed": "x", "e": 1.5}), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
 def test_verify_jsonl_reports_a_line_that_is_not_utf8_and_reads_on(capsys, tmp_path):
     cfg = {"seeds": [[1, 6, 8, 9]], "u_range": [-1, 1], "v_range": [1, 3], "dedupe": False}
     _, out, _ = run(capsys, "search", "--config", write_config(tmp_path, cfg))

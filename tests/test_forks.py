@@ -5,6 +5,7 @@ No test here starts more than three processes."""
 import errno
 import functools
 import os
+import pickle
 import signal
 import time
 
@@ -138,6 +139,20 @@ def test_forked_map_runs_in_process_when_a_worker_cannot_be_forked(monkeypatch):
         assert no_child_process()
         assert list(results) == list(map(sized, jobs))
     assert len(forks_made) == 1 and open_fds() == fds
+
+
+@pytest.mark.parametrize("cut", [0, 5, 2000])
+def test_a_result_cut_short_is_child_process_error(cut):
+    payload = pickle.dumps((True, sized(3)), pickle.HIGHEST_PROTOCOL)
+    assert len(payload) > 2000
+    results, results_end = os.pipe()
+    try:
+        os.write(results_end, payload[:cut])
+        os.close(results_end)
+        with pytest.raises(ChildProcessError, match=r"^a worker process ended without sending its result$"):
+            next(forks._results([results], 1))
+    finally:
+        os.close(results)
 
 
 def dying(job: int) -> int:
