@@ -16,12 +16,13 @@ reads a decimal string, an optional sign and ASCII digits.
 end, and never seeks, so it reads a pipe as it reads a file.  A file of
 one block holding one JSON object with a ``q`` key is a form file, whose
 identity is checked; anything else is JSON lines.  Each block of a JSON
-lines file is decoded as the whole file would be and checked by
-:func:`search.scan_records`; the blocks' counts and failures are merged
-in order, their line numbers offset, so the report is the same bytes
-however the file is cut.  A regular file of more than one block is
-checked by forked worker processes, up to one for each CPU and one for
-each block.
+lines file is decoded as the whole file would be, and each line checked
+as :func:`search.scan_records` checks it, but a line its template
+reader accepts is only counted; the blocks' counts and failures are
+merged in order, their line numbers offset, so the report is the same
+bytes however the file is cut.  A regular file of more than one block
+is checked by forked worker processes, up to one for each CPU and one
+for each block.
 
 ``search`` writes a large grid's records from forked worker processes,
 up to one for each CPU or ``--threads``, as :func:`search.write_search`
@@ -180,14 +181,17 @@ def _text(block: bytes) -> io.TextIOWrapper:
 
 def _check_block(block: bytes) -> tuple[int, int, list[tuple[int, str]]]:
     """A block's count of lines and of records, and ``(line, message)`` for
-    each record that fails, its line numbered from 1 in the block."""
-    from .search import scan_records
+    each record that fails, its line numbered from 1 in the block.  Lines
+    are read as :func:`search.scan_records` reads them, but a line its
+    template reader accepts is counted with no record built."""
+    from .search import _encoded_fields, _json_record
 
     lines = _text(block).readlines()
     records = 0
     failures = []
-    for lineno, item in scan_records(lines):
-        records += 1
+    for lineno, line in enumerate(lines, start=1):
+        item = _encoded_fields(line) or _json_record(line)  # None for a blank line
+        records += item is not None
         if isinstance(item, Exception):
             failures.append((lineno, str(item)))
     return len(lines), records, failures

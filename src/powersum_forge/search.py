@@ -63,14 +63,16 @@ stdout.  Once per seed and ratio their fields are filled in, and the
 rest of each line is filled in from the search loop's values by
 :func:`write_search`, which the CLI runs, or from a record's fields by
 :func:`write_records`.  :func:`scan_records` reads those lines back and
-re-verifies each one, taking a seed's :class:`CubicQuadruple`, ratio
-and line encoder from one small cache keyed on its integers,
-:func:`_seed_state`.  A line is first read by re-encoding it: its
-``seed``, ``uv`` and ``raw`` integers are read, every other field is
-derived from them with the search's own code, and the line is accepted
-when the seed's encoder writes it byte for byte.  Any other line is read
-by ``json.loads`` and :meth:`SolutionRecord.from_json`, and checked by
-:func:`verify_record`, which alone word the errors.  The lines are
+re-verifies each one.  A line is first read by re-encoding it: the
+seed's :class:`CubicQuadruple`, ratio and line encoder come from one
+small cache, :func:`_seed_state`, keyed on the seed's four texts, so a
+hit parses no seed integer; ``uv`` and ``raw`` are read, every other
+field is derived from them with the search's own code, and the line is
+accepted when the seed's encoder writes it byte for byte (which refuses
+a seed text that ``int`` reads and the encoder never writes).  Any other
+line is read by ``json.loads`` and :meth:`SolutionRecord.from_json`, and
+checked by :func:`verify_record`, which alone word the errors.
+``verify`` only counts a line the re-encoding accepts.  The lines are
 independent of each other, so ``verify`` scans a large file's blocks of
 lines in parallel processes.
 """
@@ -80,6 +82,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -207,7 +210,7 @@ class SolutionRecord(NamedTuple):
     def from_json(cls, obj: dict) -> "SolutionRecord":
         """A record from its JSON object; a field that is not a whole
         number (or a list of them) raises ValueError naming it."""
-        seed = _seed_state(json_ints(obj["seed"], "seed", 4))[0]
+        seed = _seed_state(*json_ints(obj["seed"], "seed", 4))[0]
         num = json_int(obj["ratio"]["num"], "ratio.num")
         ratio = Fraction(num, json_int(obj["ratio"]["den"], "ratio.den"))
         taxicab = obj.get("taxicab")
@@ -223,11 +226,14 @@ class SolutionRecord(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _seed_state(values: IntQuad) -> tuple[CubicQuadruple, Fraction, Callable[..., str]]:
+def _seed_state(*values: int | str) -> tuple[CubicQuadruple, Fraction, Callable[..., str]]:
     """The seed of four integers (validated by :func:`json_ints`, so
-    ``1.0`` or ``true`` never reach the key), its ratio and the
-    :func:`_line_encoder` of both."""
-    seed = CubicQuadruple(*values)
+    ``1.0`` or ``true`` never reach the key) or of their four texts in a
+    record line, its ratio and the :func:`_line_encoder` of both.  A text
+    is read by ``int`` only on a miss; ``int`` also reads texts the
+    encoder never writes (``"08"``, ``" 8"``, ``"1_0"``), which the line's
+    byte comparison then refuses."""
+    seed = CubicQuadruple(*map(int, values))
     ratio = fraction_ratio(seed)
     return seed, ratio, _line_encoder(seed, ratio)
 
@@ -249,7 +255,7 @@ def verify_record(record: SolutionRecord) -> None:
             f"raw tuple {record.raw} canonicalizes to {reduced} content {content}, "
             f"record says {record.reduced} content {record.content}"
         )
-    ratio = _seed_state(record.seed.as_tuple)[1]
+    ratio = _seed_state(*record.seed.as_tuple)[1]
     if record.ratio != ratio:
         raise ValueError(f"seed {record.seed.as_tuple} has ratio {ratio}")
     if detect_taxicab(record.reduced) != record.taxicab:
@@ -795,9 +801,9 @@ _RECORD_LINE = (
 _REDUCED = '%d","%d","%d","%d'
 
 
-#: Where ``line.split('"')`` puts the ten integers of a record line that
-#: the others are derived from: ``seed``, ``uv`` and ``raw``.
-_KEY_FIELDS = [i for i, part in enumerate(_RECORD_LINE.split('"')) if part == "%d"][:10]
+#: The texts of the ten integers of a record line that the others are
+#: derived from, ``seed``, ``uv`` and ``raw``, from its ``line.split('"')``.
+_key_texts = operator.itemgetter(*[i for i, p in enumerate(_RECORD_LINE.split('"')) if p == "%d"][:10])
 
 
 def write_records(records: Iterable[SolutionRecord], destination: str | Path | IO[str]) -> int:
@@ -841,56 +847,66 @@ def scan_records(lines: Iterable[str]) -> Iterator[tuple[int, SolutionRecord | E
     an open file, one block of lines for ``verify`` on a large file.
 
     A line exactly as :func:`write_records` writes it, with or without
-    its final newline, is read by :func:`_encoded_record`; every other
-    line goes through ``json.loads``, :meth:`SolutionRecord.from_json`
-    and :func:`verify_record`, which alone word the errors.
+    its final newline, is read by :func:`_encoded_fields`; every other
+    line by :func:`_json_record`, whose ``json.loads``,
+    :meth:`SolutionRecord.from_json` and :func:`verify_record` alone word
+    the errors.
     """
     for lineno, line in enumerate(lines, start=1):
-        record = _encoded_record(line)
-        if record is None:
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("not a JSON object")
-                record = SolutionRecord.from_json(obj)
-                verify_record(record)
-            except (ArithmeticError, IndexError, KeyError, TypeError, ValueError, RecursionError) as exc:
-                yield lineno, exc
-                continue
-        yield lineno, record
+        fields = _encoded_fields(line)
+        record = _json_record(line) if fields is None else SolutionRecord._make(fields)
+        if record is not None:
+            yield lineno, record
 
 
-def _encoded_record(line: str) -> SolutionRecord | None:
-    """The record of a line that its seed's encoder writes byte for byte,
-    with or without the final newline; None for any other line.
+def _json_record(line: str) -> SolutionRecord | Exception | None:
+    """The record of a line read by ``json.loads`` and checked by
+    :func:`verify_record`, or the exception that refuses it; None for a
+    blank line."""
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        record = SolutionRecord.from_json(obj)
+        verify_record(record)
+    except (ArithmeticError, IndexError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        return exc
+    return record
 
-    Only ``seed``, ``uv`` and ``raw`` are read.  ``raw`` must have no zero
-    entry and canonicalize to a solution of the cubic equation, as
+
+def _encoded_fields(line: str) -> tuple | None:
+    """The fields of the record of a line that its seed's encoder writes
+    byte for byte, with or without the final newline, in
+    :class:`SolutionRecord`'s order; None for any other line.
+
+    Only ``seed``, ``uv`` and ``raw`` are read, the seed by its texts
+    through :func:`_seed_state`.  ``raw`` must have no zero entry and
+    canonicalize to a solution of the cubic equation, as
     :func:`verify_record` asks; the other fields are derived from it as
     the search derives them, so an accepted line is one that
     :func:`verify_record` passes.  A line too short, an integer ``int``
     cannot read (over its digit limit, say) or an invalid seed gives None.
     """
-    parts = line.split('"', 26)  # split no further than the last key field, parts[25]
     try:
-        a, b, c, d, u, v, *raw = [int(parts[i]) for i in _KEY_FIELDS]
-        seed, ratio, encode = _seed_state((a, b, c, d))
-        raw = tuple(raw)
+        a, b, c, d, u, v, r1, r2, r3, r4 = _key_texts(line.split('"', 26))  # split no further than r4
+        seed, ratio, encode = _seed_state(a, b, c, d)
+        uv = int(u), int(v)
+        raw = int(r1), int(r2), int(r3), int(r4)
         if 0 in raw:
             return None
         reduced, content = canonicalize(raw)
         x1, x2, x3, x4 = reduced
-        if x1**3 + x2**3 + x3**3 != x4**3:
+        if x1 * x1 * x1 + x2 * x2 * x2 + x3 * x3 * x3 != x4 * x4 * x4:
             return None
         taxicab = detect_taxicab(reduced)
-        text = encode((u, v), raw, reduced, content, taxicab)  # a taxicab over int's digit limit
+        text = encode(uv, raw, reduced, content, taxicab)  # a taxicab over int's digit limit
     except (IndexError, ValueError):
         return None
     if line != text and line != text[:-1]:
         return None
-    return SolutionRecord(seed, (u, v), raw, reduced, content, ratio, taxicab)
+    return seed, uv, raw, reduced, content, ratio, taxicab
 
 
 def load_records(path: str | Path) -> list[SolutionRecord]:

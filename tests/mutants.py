@@ -1,6 +1,7 @@
 """Mutation run: each proof gate, each check of the record-line reader,
-and each guard of the fork results and of ``verify``'s form sniff must
-fail a test when it is taken out.
+each guard of the fork results and of ``verify``'s form sniff, and
+``verify``'s slow path for a line the reader refuses must fail a test
+when it is taken out.
 
 Run from anywhere, with pytest and hypothesis installed::
 
@@ -45,6 +46,12 @@ SEARCH = "src/powersum_forge/search.py"
 FORKS = "src/powersum_forge/forks.py"
 CLI = "src/powersum_forge/cli.py"
 
+#: ``verify``'s line check against :func:`scan_records` run line by line.
+VERIFY_LINE_TESTS = (
+    "tests/test_cli.py::test_verify_checks_odd_texts_evicted_and_alternating_seeds_as_line_by_line",
+    "tests/test_cli.py::test_verify_checks_drawn_lines_as_line_by_line",
+)
+
 MUTANTS = [
     Mutant(
         "expand_relation gate",
@@ -86,21 +93,21 @@ MUTANTS = [
         SEARCH,
         "        if 0 in raw:\n            return None\n        reduced, content = canonicalize(raw)\n",
         "        reduced, content = canonicalize(raw)\n",
-        ("tests/test_search.py",),
+        ("tests/test_search.py", *VERIFY_LINE_TESTS),
     ),
     Mutant(
         "record reader: cube check dropped",
         SEARCH,
-        "        if x1**3 + x2**3 + x3**3 != x4**3:\n            return None\n        taxicab",
-        "        taxicab",
-        ("tests/test_search.py",),
+        "        if x1 * x1 * x1 + x2 * x2 * x2 + x3 * x3 * x3 != x4 * x4 * x4:\n            return None\n",
+        "",
+        ("tests/test_search.py", *VERIFY_LINE_TESTS),
     ),
     Mutant(
         "record reader: byte comparison dropped",
         SEARCH,
         "    if line != text and line != text[:-1]:\n        return None\n",
         "",
-        ("tests/test_search.py",),
+        ("tests/test_search.py", *VERIFY_LINE_TESTS),
     ),
     Mutant(
         "reflection proof: one point fewer",
@@ -132,6 +139,13 @@ MUTANTS = [
         "        ok = powers_telescope([f.dehomogenize() for f in forms], 2)\n",
         "        ok = True\n",
         ("tests/test_cli.py::test_verify_fails_a_degenerate_piezas_triple_with_a_moved_coefficient",),
+    ),
+    Mutant(
+        "verify: a line the template reader refuses counted without the slow path",
+        CLI,
+        "item = _encoded_fields(line) or _json_record(line)",
+        "item = _encoded_fields(line) or (line.strip() or None)",
+        ("tests/test_cli.py::test_verify_jsonl_reports_bad_lines", *VERIFY_LINE_TESTS),
     ),
 ]
 

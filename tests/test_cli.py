@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -1148,6 +1149,138 @@ def test_verify_holds_one_block_of_a_file_with_a_malformed_first_line(capsys, mo
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["failures"] == ["line 1: Expecting value: line 1 column 1 (char 0)"]
     assert peak < size // 2
+
+
+# --- verify's line check against scan_records, line by line ------------------------
+
+
+def template_line(record) -> str:
+    buf = io.StringIO()
+    write_records([record], buf)
+    return buf.getvalue()
+
+
+#: Records of 21 distinct seeds, more than the seed cache holds, with
+#: points on ``u = 0`` among them.
+POOL = [
+    record
+    for seed in [CubicQuadruple(1, 6, 8, 9).scaled(t) for t in range(1, 21)] + [CubicQuadruple(8, 1, 6, 9)]
+    for record in run_search(SearchConfig(seeds=(seed,), u_range=(0, 1), v_range=(1, 2)))
+]
+POOL_LINES = [template_line(record) for record in POOL]
+
+
+def consistent_line(raw) -> str:
+    """The template line of the first record with ``raw`` and the fields
+    the search derives from it: only :func:`verify_record`'s zero and cube
+    checks can refuse it."""
+    reduced, content = search.canonicalize(raw)
+    record = POOL[0]._replace(raw=raw, reduced=reduced, content=content, taxicab=search.detect_taxicab(reduced))
+    return template_line(record)
+
+
+REFUSED_TEMPLATE_LINES = [consistent_line((2, -2, 0, 0)), consistent_line((1, 2, 3, 4))]
+
+#: The fields a record line's template reader reads.
+KEY_FIELDS = [*(("seed", i) for i in range(4)), ("uv", 0), ("uv", 1), *(("raw", i) for i in range(4))]
+
+#: Texts of a field that ``int`` reads, or cannot, where the encoder writes none of them.
+ODD_TEXTS = ["08", "+8", " 8", "1_0", "\u0668", "9" * 5000, "-0", "007"]
+
+
+def respelled(line: str, key: str, i: int, text: str) -> str:
+    obj = json.loads(line)
+    obj[key][i] = text
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+
+def spellings(text: str) -> list[str]:
+    """Other texts of the integer ``text`` that ``int`` reads as the same value."""
+    sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
+    odd = [sign + "0" + digits, " " + text, sign + digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))]
+    odd.append(sign + (digits[0] + "_" + digits[1:] if len(digits) > 1 else "0_" + digits))
+    return odd if sign else odd + ["+" + text]
+
+
+def line_by_line(lines: list[str]) -> tuple[int, int, list[tuple[int, str]]]:
+    """What ``cli._check_block`` gives for ``lines``, from :func:`scan_records`
+    run on each line alone."""
+    records, failures = 0, []
+    for lineno, line in enumerate(lines, start=1):
+        for _, item in scan_records([line]):
+            records += 1
+            if isinstance(item, Exception):
+                failures.append((lineno, str(item)))
+    return len(lines), records, failures
+
+
+def verify_output(path: Path) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", str(path)])
+    return code, out.getvalue()
+
+
+def assert_checked_as_line_by_line(lines: list[str]) -> None:
+    """``_check_block`` and ``verify``, in one block in this process and in
+    tiny blocks on two forked workers, agree with :func:`line_by_line`,
+    which does not change when the template reader refuses every line."""
+    expected = line_by_line(lines)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_encoded_fields", lambda line: None)
+        assert line_by_line(lines) == expected
+    block = "".join(lines).encode()
+    assert cli._check_block(block) == expected
+    _, records, failures = expected
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "lines.jsonl"
+        path.write_bytes(block)
+        messages = [f"line {lineno}: {message}" for lineno, message in failures]
+        report = {"file": str(path), "records": records, "verified": not failures, "failures": messages}
+        output = int(bool(failures)), json.dumps(report, indent=2) + "\n"
+        assert verify_output(path) == output
+        sizes = pool_sizes(mp, 2)
+        mp.setattr(cli, "_BLOCK_BYTES", 7)
+        assert verify_output(path) == output
+        with path.open("rb") as raw:
+            assert sizes == ([2] if len(list(cli._blocks(raw))) > 1 else [])
+
+
+def test_verify_checks_odd_texts_evicted_and_alternating_seeds_as_line_by_line():
+    by_seed = {record.seed.as_tuple: line for record, line in zip(POOL, POOL_LINES)}
+    eights, tens = by_seed[(1, 6, 8, 9)], by_seed[(10, 60, 80, 90)]
+    zero_u = next(line for record, line in zip(POOL, POOL_LINES) if record.uv[0] == 0)
+    odd = [respelled(eights, "seed", 2, text) for text in ["08", "+8", " 8", "\u0668"]]
+    odd += [respelled(tens, "seed", 0, "1_0"), respelled(eights, "seed", 0, "9" * 5000)]
+    odd += [respelled(zero_u, "uv", 0, "-0"), respelled(eights, "raw", 0, "007")]
+    odd += [respelled(line, "raw", 3, "00" + json.loads(line)["raw"][3]) for line in POOL_LINES[:2]]
+    alternating = [line for pair in zip(POOL_LINES[:6], POOL_LINES[-6:]) for line in pair]
+    lines = POOL_LINES + POOL_LINES[::-1] + alternating + odd + REFUSED_TEMPLATE_LINES + ["\n", "[1]\n"]
+    assert len({line.split("]")[0] for line in POOL_LINES}) == 21
+    assert_checked_as_line_by_line(lines)
+
+
+@st.composite
+def verify_lines(draw) -> str:
+    """A pool line, one of its key fields spelled otherwise, a template line
+    that :func:`verify_record` refuses, or another line."""
+    kind = draw(st.sampled_from(["pool", "spelling", "odd", "refused", "other"]))
+    line = draw(st.sampled_from(POOL_LINES))
+    if kind == "pool":
+        return line
+    if kind == "refused":
+        return draw(st.sampled_from(REFUSED_TEMPLATE_LINES))
+    if kind == "other":
+        return draw(st.sampled_from(["\n", " \n", "not json\n", "[1]\n"]))
+    key, i = draw(st.sampled_from(KEY_FIELDS))
+    texts = spellings(json.loads(line)[key][i]) if kind == "spelling" else ODD_TEXTS
+    return respelled(line, key, i, draw(st.sampled_from(texts)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(verify_lines(), min_size=1, max_size=40))
+def test_verify_checks_drawn_lines_as_line_by_line(lines):
+    assert_checked_as_line_by_line(lines)
 
 
 # --- search on forked workers -----------------------------------------------------
