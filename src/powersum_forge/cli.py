@@ -5,7 +5,9 @@ Subcommands mirror the library surface: ``bernoulli``, ``faulhaber``,
 ``search``.  Output is JSON by default; ``--latex`` switches to the
 display form where one exists.  Exit codes: 0 success, 1 verification
 failure or a reader that closed stdout early, 2 usage or input error,
-or a worker process that ended without its result.
+or a worker process that ended without its result, 130 on Ctrl-C (one
+line, ``error: interrupted``).  The script runs :func:`run`, which exits
+without the interpreter's teardown; only its subcommand's parser is built.
 
 Each handler imports the modules it runs when it runs, so a call pays
 only for its own subcommand: ``relation`` never loads ``search`` or
@@ -32,6 +34,7 @@ says; ``--threads 1`` searches in this process.
 from __future__ import annotations
 
 import argparse
+import atexit
 import io
 import itertools
 import json
@@ -49,6 +52,7 @@ if TYPE_CHECKING:
 OK = 0
 VERIFICATION_FAILED = 1
 USAGE_ERROR = 2
+INTERRUPTED = 130
 
 
 def _emit(obj: dict) -> str:
@@ -434,7 +438,16 @@ def _search_summary(stats: SearchStats) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: The subcommands, in the order ``--help`` lists them.
+_COMMANDS = ("bernoulli", "faulhaber", "combo", "sandor", "verify", "relation", "quad", "search")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand's parser, or only that of
+    ``command`` when it names one.  Such a parser reads ``command``'s
+    arguments, and words its help and its errors, as the full one does:
+    the top-level usage names every subcommand either way."""
+    names = (command,) if command in _COMMANDS else _COMMANDS
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--latex", action="store_true", help="emit LaTeX instead of JSON")
 
@@ -443,65 +456,66 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact families of cubic and quadratic Diophantine identities "
         "from binary quadratic forms and power sums.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("bernoulli", parents=[common], help="Bernoulli number B_k")
-    p.add_argument("k", type=integer)
-    p.set_defaults(handler=cmd_bernoulli)
+    def add(name: str, help: str, handler) -> argparse.ArgumentParser | None:
+        if name not in names:
+            return None
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("faulhaber", parents=[common], help="S_k as a polynomial in n")
-    p.add_argument("k", type=integer)
-    p.set_defaults(handler=cmd_faulhaber)
+    if p := add("bernoulli", "Bernoulli number B_k", cmd_bernoulli):
+        p.add_argument("k", type=integer)
 
-    p = sub.add_parser("combo", parents=[common], help="closed-form power-sum combination")
-    p.add_argument("op", choices=sorted(_COMBO_OPS))
-    p.add_argument("args", type=integer, nargs="+", help="exponent argument(s)")
-    p.set_defaults(handler=cmd_combo)
+    if p := add("faulhaber", "S_k as a polynomial in n", cmd_faulhaber):
+        p.add_argument("k", type=integer)
 
-    p = sub.add_parser("sandor", parents=[common], help="form quadruple from a cubic seed")
-    p.add_argument("a", type=integer)
-    p.add_argument("b", type=integer)
-    p.add_argument("c", type=integer)
-    p.add_argument("d", type=integer)
-    p.add_argument("--reduce", action="store_true", help="divide out the joint content")
-    p.add_argument("--subst", metavar="M11,M12,M21,M22", help="compose with a linear map")
-    p.set_defaults(handler=cmd_sandor)
+    if p := add("combo", "closed-form power-sum combination", cmd_combo):
+        p.add_argument("op", choices=sorted(_COMBO_OPS))
+        p.add_argument("args", type=integer, nargs="+", help="exponent argument(s)")
 
-    p = sub.add_parser("verify", parents=[common], help="verify a quadruple or solutions file")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_verify)
+    if p := add("sandor", "form quadruple from a cubic seed", cmd_sandor):
+        p.add_argument("a", type=integer)
+        p.add_argument("b", type=integer)
+        p.add_argument("c", type=integer)
+        p.add_argument("d", type=integer)
+        p.add_argument("--reduce", action="store_true", help="divide out the joint content")
+        p.add_argument("--subst", metavar="M11,M12,M21,M22", help="compose with a linear map")
 
-    p = sub.add_parser("relation", parents=[common], help="power-sum relation from a seed")
-    p.add_argument("--seed", required=True, metavar="A,B,C,D")
-    p.add_argument("--mode", required=True, metavar="Q:k,m|F:k")
-    p.add_argument("--expand", action="store_true", help="expand to polynomial identity")
-    p.add_argument("--factor", action="store_true", help="strip common u^s (u+1)^t roots")
-    p.set_defaults(handler=cmd_relation)
+    if p := add("verify", "verify a quadruple or solutions file", cmd_verify):
+        p.add_argument("file")
 
-    p = sub.add_parser("quad", parents=[common], help="quadratic (square) constructions")
-    p.add_argument("construction", choices=["piezas", "quadruple", "triple", "equal-sums"])
-    p.add_argument("values", type=integer, nargs="+")
-    p.add_argument("--degenerate", type=integer, metavar="E", help="piezas: collapse to a triple")
-    p.add_argument("--eval", dest="eval_at", type=integer, metavar="N", help="also evaluate at n=N")
-    p.set_defaults(handler=cmd_quad)
+    if p := add("relation", "power-sum relation from a seed", cmd_relation):
+        p.add_argument("--seed", required=True, metavar="A,B,C,D")
+        p.add_argument("--mode", required=True, metavar="Q:k,m|F:k")
+        p.add_argument("--expand", action="store_true", help="expand to polynomial identity")
+        p.add_argument("--factor", action="store_true", help="strip common u^s (u+1)^t roots")
 
-    p = sub.add_parser("search", parents=[common], help="grid search over families")
-    p.add_argument("--config", required=True)
-    p.add_argument(
-        "--threads",
-        type=positive,
-        help="at least 1; most worker processes for a large grid (default: one per CPU); "
-        "1 searches in this process",
-    )
-    p.add_argument("--force", action="store_true", help="override the lattice guardrail")
-    p.set_defaults(handler=cmd_search)
+    if p := add("quad", "quadratic (square) constructions", cmd_quad):
+        p.add_argument("construction", choices=["piezas", "quadruple", "triple", "equal-sums"])
+        p.add_argument("values", type=integer, nargs="+")
+        p.add_argument("--degenerate", type=integer, metavar="E", help="piezas: collapse to a triple")
+        p.add_argument("--eval", dest="eval_at", type=integer, metavar="N", help="also evaluate at n=N")
+
+    if p := add("search", "grid search over families", cmd_search):
+        p.add_argument("--config", required=True)
+        p.add_argument(
+            "--threads",
+            type=positive,
+            help="at least 1; most worker processes for a large grid (default: one per CPU); "
+            "1 searches in this process",
+        )
+        p.add_argument("--force", action="store_true", help="override the lattice guardrail")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code, text = args.handler(args)
         if text:
@@ -518,8 +532,28 @@ def main(argv=None) -> int:
     except ChildProcessError as exc:  # a worker process was killed
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except KeyboardInterrupt:  # forked workers are killed and reaped on the way out
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED
     return code
 
 
+def run() -> None:
+    """The script and ``python -m powersum_forge``: :func:`main`, the
+    ``atexit`` handlers, a flush of stdout and stderr (a reader that closed
+    either makes the exit code 1) and ``os._exit``, which skips the
+    interpreter's teardown of its modules and objects.  ``SystemExit``
+    (``--help``, a usage error) and an exception ``main`` does not catch
+    leave the normal way."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = VERIFICATION_FAILED
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -251,6 +251,23 @@ def _horner(num: Sequence[int], x):
     return acc
 
 
+def _packed(nums: Sequence[Sequence[int]], radius: int) -> tuple[list[int], int]:
+    """``(packed, B)``: ``packed = sum_i (nums[i] + 2^(B-1)) * 2^(B*i)``,
+    the offset in the constant term, so that at an integer ``|x| <= radius``
+    its base-``2^B`` digit ``i`` is ``p_i(x) + 2^(B-1)``, ``p_i`` the
+    polynomial of ``nums[i]``.  ``B`` makes ``|p_i(x)| <= sum_j |c_ij| *
+    radius^j < 2^(B-2)``, so each digit lies in ``[0, 2^B)`` and is exact.
+    """
+    bits = max(_horner(list(map(abs, num)), radius).bit_length() for num in nums) + 2
+    packed = [0] * max(1, *map(len, nums))
+    for i, num in enumerate(nums):
+        shift = bits * i
+        for j, c in enumerate(num):
+            packed[j] += c << shift
+        packed[0] += 1 << (shift + bits - 1)
+    return packed, bits
+
+
 def _scaled(num: list[int], factor: int) -> list[int]:
     """``num`` times an integer; the same list when the factor is 1."""
     return num if factor == 1 else [c * factor for c in num]

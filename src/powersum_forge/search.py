@@ -22,10 +22,15 @@ Cubic mode evaluates the reduced family with a row kernel: for each
 constants, so each point costs ``A + (B + gamma*v)*v`` per form
 (:func:`cubic.evaluate_forms` is the same value, one point at a time).
 Relation modes (``Q:k,m`` / ``F:k``) scan the integers ``u`` of
-``u_range`` and evaluate the expanded univariate identity by Horner's
-rule on its integer numerators; the record stores ``uv = [u, 0]`` for
-those, and ``v_range`` is ignored.  A value that is not a whole number
-raises RuntimeError instead of being truncated.
+``u_range`` and evaluate the expanded univariate identity by one Horner
+pass per point on its four packed integer numerator lists,
+``C_j = sum_i c_ij * 2^(B*i)`` (:func:`polynomials._packed`): the four
+values are read back as balanced base-``2^B`` digits.  ``B`` is chosen
+per block of rows, ``R`` the largest ``|u|`` among them, so that
+``|p_i(u)| <= sum_j |c_ij| * R^j < 2^(B-2)`` for every polynomial, which
+makes each digit exact.  The record stores ``uv = [u, 0]`` for those,
+and ``v_range`` is ignored.  A value that is not a whole number raises
+RuntimeError instead of being truncated.
 
 One reflection rule serves both modes: a point ``x`` of a scan line has
 the raw tuple of ``c - x``.  Each cubic form is homogeneous of degree 2,
@@ -97,7 +102,7 @@ from .cubic import (
     sandor_generate,
 )
 from .exactcore import json_int, json_ints
-from .polynomials import _horner
+from .polynomials import _horner, _packed
 from .relations import FMode, QMode, RelationMode, build_relation, expand_relation, parse_mode
 
 __all__ = [
@@ -768,14 +773,19 @@ def _points(
                         A4 + (B4 + c4 * v) * v,
                     )
     else:
-        identity, (n1, n2, n3, n4), dens, reflects = family
+        identity, nums, dens, reflects = family
+        # One Horner pass per point: the four values are the digits of one
+        # packed value (polynomials._packed), each read back less 2^(B-1).
+        packed, b1 = _packed(nums, max(-rows.start, rows.stop - 1, 0))
+        b2, b3, m, h = 2 * b1, 3 * b1, (1 << b1) - 1, 1 << (b1 - 1)  # shifts, digit mask, 2^(B-1)
         whole = dens == [1, 1, 1, 1]
         segments = (rows,)
         if settle is not None and reflects:
             segments = _skip_reflected(rows, 0, -1 - u_lo, -1, None, settle)
         for us in segments:
             for u in us:
-                raw = _horner(n1, u), _horner(n2, u), _horner(n3, u), _horner(n4, u)
+                x = _horner(packed, u)
+                raw = (x & m) - h, (x >> b1 & m) - h, (x >> b2 & m) - h, (x >> b3) - h
                 if not whole:
                     if any(x % d for x, d in zip(raw, dens)):
                         values = identity.evaluate(u)
@@ -827,6 +837,8 @@ def _write_lines(lines: Iterable[str], destination: str | Path | IO[str]) -> int
         try:
             with open(destination, "w", encoding="utf-8") as fh:
                 return _write_lines(lines, fh)
+        except ChildProcessError:  # a worker's error, not the file's
+            raise
         except OSError as exc:
             raise ValueError(f"cannot write solutions file {destination}: {exc}") from exc
     write = destination.write

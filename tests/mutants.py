@@ -1,7 +1,8 @@
 """Mutation run: each proof gate, each check of the record-line reader,
-each guard of the fork results and of ``verify``'s form sniff, and
-``verify``'s slow path for a line the reader refuses must fail a test
-when it is taken out.
+each guard of the fork results and of ``verify``'s form sniff,
+``verify``'s slow path for a line the reader refuses, the exit code and
+``atexit`` handlers of ``cli.run`` and the digit width of the packed
+Horner pass must fail a test when they are taken out.
 
 Run from anywhere, with pytest and hypothesis installed::
 
@@ -45,6 +46,7 @@ QUADRATIC = "src/powersum_forge/quadratic.py"
 SEARCH = "src/powersum_forge/search.py"
 FORKS = "src/powersum_forge/forks.py"
 CLI = "src/powersum_forge/cli.py"
+POLYNOMIALS = "src/powersum_forge/polynomials.py"
 
 #: ``verify``'s line check against :func:`scan_records` run line by line.
 VERIFY_LINE_TESTS = (
@@ -146,6 +148,27 @@ MUTANTS = [
         "item = _encoded_fields(line) or _json_record(line)",
         "item = _encoded_fields(line) or (line.strip() or None)",
         ("tests/test_cli.py::test_verify_jsonl_reports_bad_lines", *VERIFY_LINE_TESTS),
+    ),
+    Mutant(
+        "run: the exit code forced to 0",
+        CLI,
+        "    os._exit(code)\n",
+        "    os._exit(0)\n",
+        ("tests/test_cli.py::test_python_m_keeps_the_exit_codes_and_the_output_of_main",),
+    ),
+    Mutant(
+        "run: the atexit handlers skipped",
+        CLI,
+        "    atexit._run_exitfuncs()\n",
+        "",
+        ("tests/test_cli.py::test_an_atexit_handler_of_a_sitecustomize_still_runs",),
+    ),
+    Mutant(
+        "packed pass: the digits two bits short",
+        POLYNOMIALS,
+        ".bit_length() for num in nums) + 2\n",
+        ".bit_length() for num in nums)\n",
+        ("tests/test_search.py::test_packed_pass_reads_values_at_the_bound",),
     ),
 ]
 

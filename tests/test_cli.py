@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1441,9 +1442,13 @@ def limit_file_size(size: int | None):
     return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (size, hard))
 
 
-def search_probe(tmp_path, mode: str, *argv: str, file_size: int | None = None) -> subprocess.Popen:
+def search_probe(
+    tmp_path, mode: str, *argv: str, file_size: int | None = None, output: str | None = None
+) -> subprocess.Popen:
     # about 670 KB of records, far more than a pipe buffers
     cfg = {"seeds": [[1, 6, 8, 9], [3, 4, 5, 6]], "u_range": [-40, 40], "v_range": [-40, 40]}
+    if output is not None:
+        cfg["output"] = output
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     args = ["search", "--config", write_config(tmp_path, cfg), *argv]
     return subprocess.Popen(
@@ -1605,3 +1610,177 @@ def test_verify_of_a_file_changed_while_checked_is_an_error(capsys, monkeypatch,
     assert capsys.readouterr().err == "error: the file changed while it was checked\n"
     assert sizes == [2]
     assert no_child_process()
+
+
+def test_a_killed_search_worker_is_not_a_write_error_with_an_output_file(tmp_path):
+    out = tmp_path / "out.jsonl"
+    with search_probe(tmp_path, "die", "--threads", "2", output=str(out)) as proc:
+        stdout, err = proc.communicate(timeout=120)
+    assert (proc.returncode, stdout) == (2, b"")
+    assert err.decode() == (
+        "error: a worker process ended without sending its result\n"
+        "no child process\nworkers [2]\n"
+    )
+
+
+# --- the exit path: run() and the parser of one subcommand ------------------------
+
+
+def child_env(*paths) -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, [*paths, src]))}
+
+
+def test_python_m_keeps_the_exit_codes_and_the_output_of_main(capsys, tmp_path):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(run_json(capsys, "sandor", "1", "6", "8", "9")), encoding="utf-8")
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(mixed_jsonl(), encoding="utf-8")
+    for argv, code in [(["verify", str(form)], 0), (["verify", str(mixed)], 1), (["bernoulli", "x"], 2)]:
+        try:
+            expected = main(argv)
+        except SystemExit as exc:
+            expected = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "powersum_forge", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=120,
+        )
+        assert proc.returncode == expected == code
+        assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
+def test_an_atexit_handler_of_a_sitecustomize_still_runs(tmp_path):
+    marker = tmp_path / "marker"
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, pathlib\n"
+        f"atexit.register(pathlib.Path({str(marker)!r}).write_text, 'ran')\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "powersum_forge", "bernoulli", "4"],
+        capture_output=True,
+        text=True,
+        env=child_env(tmp_path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == {"num": "-1", "den": "30"}
+    assert marker.read_text() == "ran"
+
+
+#: Runs ``cli.run`` as the script does, on two CPUs whatever the machine
+#: has, every grid in blocks of at most 50 points on forked workers; an
+#: ``atexit`` handler then reports on stderr whether a child process is
+#: left, running or not yet reaped, and the worker count of each fork map.
+RUN_PROBE = """
+import atexit, os, sys
+from powersum_forge import cli, forks, search
+os.sched_getaffinity = lambda pid: {0, 1}
+search._FORK_POINTS = 1
+search._BLOCK_POINTS = 50
+workers = []
+forked_map = forks.forked_map
+forks.forked_map = lambda function, jobs, n: workers.append(n) or forked_map(function, jobs, n)
+
+
+def report():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child process", file=sys.stderr)
+    print("workers", workers, file=sys.stderr)
+
+
+atexit.register(report)
+sys.argv = ["powersum-forge", *sys.argv[1:]]
+cli.run()
+"""
+
+
+def run_probe(tmp_path, *argv: str) -> subprocess.Popen:
+    # about 670 KB of records, far more than a pipe buffers
+    cfg = {"seeds": [[1, 6, 8, 9], [3, 4, 5, 6]], "u_range": [-40, 40], "v_range": [-40, 40]}
+    args = ["search", "--config", write_config(tmp_path, cfg), *argv]
+    return subprocess.Popen(
+        [sys.executable, "-c", RUN_PROBE, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+
+
+def test_a_forked_search_through_run_writes_the_serial_bytes_to_a_pipe(tmp_path):
+    with run_probe(tmp_path) as proc:
+        out, err = proc.communicate(timeout=120)
+    with run_probe(tmp_path, "--threads", "1") as serial_proc:
+        serial, serial_err = serial_proc.communicate(timeout=120)
+    assert proc.returncode == serial_proc.returncode == 0
+    assert out == serial and len(out) > 1 << 16
+    summary = serial_err.decode().removesuffix("no child process\nworkers []\n")
+    assert err.decode() == summary + "no child process\nworkers [2]\n"
+    assert json.loads(summary)["records"] == len(out.splitlines())
+
+
+def test_ctrl_c_in_a_forked_search_is_one_error_line_and_leaves_no_process(tmp_path):
+    with run_probe(tmp_path) as proc:
+        assert proc.stdout.readline()  # the workers are searching
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 130
+    assert err.decode() == "error: interrupted\nno child process\nworkers [2]\n"
+
+
+ARGV_OF_EVERY_KIND = [
+    ["--help"],
+    ["frobnicate"],
+    ["frobnicate", "--config", "x"],
+    *[[name, "--help"] for name in cli._COMMANDS],
+    *[[name] for name in cli._COMMANDS],  # missing arguments, for all but search's --config too
+    ["search", "--threads", "2"],
+    ["relation", "--seed", "1,6,8,9"],
+    ["combo", "cube", "2"],
+    ["bernoulli", "x"],
+    ["bernoulli", "3", "--bogus"],
+    ["quad", "piezas", "1", "2", "3", "4", "--eval"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_OF_EVERY_KIND, ids=" ".join)
+def test_the_parser_of_one_subcommand_reads_as_the_full_parser(capsys, argv):
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as one:
+        main(argv)
+    assert one.value.code == full.value.code
+    assert capsys.readouterr() == expected
+
+
+#: A good argument list of each subcommand.
+GOOD_ARGV = {
+    "bernoulli": ["bernoulli", "12", "--latex"],
+    "faulhaber": ["faulhaber", "3"],
+    "combo": ["combo", "product", "2", "3"],
+    "sandor": ["sandor", "1", "6", "8", "9", "--reduce", "--subst", "1,0,0,1"],
+    "verify": ["verify", "file.jsonl"],
+    "relation": ["relation", "--seed", "1,6,8,9", "--mode", "Q:1,2", "--expand"],
+    "quad": ["quad", "triple", "1", "3", "--eval", "5"],
+    "search": ["search", "--config", "cfg.json", "--threads", "2", "--force"],
+}
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_build_parser_builds_only_the_subcommand_it_is_given(name):
+    def subcommands(parser):
+        (action,) = parser._subparsers._group_actions
+        return list(action.choices)
+
+    assert subcommands(cli.build_parser(name)) == [name]
+    assert subcommands(cli.build_parser()) == list(cli._COMMANDS)
+    assert subcommands(cli.build_parser("frobnicate")) == list(cli._COMMANDS)
+    argv = GOOD_ARGV[name]
+    assert cli.build_parser(name).parse_args(argv) == cli.build_parser().parse_args(argv)

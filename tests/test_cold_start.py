@@ -15,9 +15,17 @@ import powersum_forge
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Runs ``python -m powersum_forge ARGS`` in process, then prints the loaded
-#: module names as the last line of stdout.
+#: module names as the last line of stdout; ``os._exit``, which ends
+#: ``cli.run``, raises SystemExit instead, so the probe goes on after it.
 PROBE = """
-import runpy, sys
+import os, runpy, sys
+
+
+def _exit(code):
+    raise SystemExit(code)
+
+
+os._exit = _exit
 sys.argv = ["powersum_forge", *sys.argv[1:]]
 try:
     runpy.run_module("powersum_forge", run_name="__main__")

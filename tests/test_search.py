@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from powersum_forge import search
+from powersum_forge import forks, search
 from powersum_forge.cubic import (
     CubicQuadruple,
     content_reduce,
@@ -18,7 +19,7 @@ from powersum_forge.cubic import (
     fraction_ratio,
     sandor_generate,
 )
-from powersum_forge.polynomials import Polynomial
+from powersum_forge.polynomials import Polynomial, _horner
 from powersum_forge.relations import FMode, PolyIdentity, QMode, build_relation, expand_relation
 from powersum_forge.search import (
     GRID_GUARDRAIL,
@@ -34,6 +35,8 @@ from powersum_forge.search import (
     verify_record,
     write_records,
 )
+
+from test_forks import no_child_process
 
 
 def config(seeds, u=(-5, 5), v=(-5, 5), **kw):
@@ -773,6 +776,70 @@ def test_search_output_is_byte_identical(cfg, count, prefix):
     text = encode(run_search(cfg))
     assert len(text.splitlines()) == count
     assert hashlib.sha256(text.encode()).hexdigest().startswith(prefix)
+
+
+def test_relation_pin_is_byte_identical_from_forked_workers(monkeypatch):
+    # the Q:3,5 pin above, written in blocks of 37 points on two forked workers
+    cfg = config([(1, 6, 8, 9)], u=(-200, 200), v=(0, 0), modes=(QMode(3, 5),))
+    monkeypatch.setattr(search, "_FORK_POINTS", 1)
+    monkeypatch.setattr(search, "_BLOCK_POINTS", 37)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    workers = []
+    forked_map = forks.forked_map
+    monkeypatch.setattr(forks, "forked_map", lambda f, jobs, n: workers.append(n) or forked_map(f, jobs, n))
+    buf = io.StringIO()
+    assert search.write_search(cfg, buf, threads=2) == 200
+    assert workers == [2] and no_child_process()
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest().startswith("9d0731e19650ef6d")
+
+
+def packed_reference(nums, rows):
+    """``(uv, raw)`` of each point of ``rows`` from four Horner passes."""
+    return [((u, 0), tuple(_horner(num, u) for num in nums)) for u in rows]
+
+
+def packed_points(nums, rows):
+    """``search._points`` of a relation family with numerators ``nums``."""
+    family = (None, nums, [1, 1, 1, 1], False)
+    cfg = config([(1, 6, 8, 9)], u=(rows.start, max(rows.start, rows.stop - 1)), v=(0, 0))
+    return list(search._points(cfg.seeds[0], QMode(3, 5), family, cfg, rows, range(1), None))
+
+
+coefficient_lists = st.lists(
+    st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**200), 2**200)), max_size=14
+)
+
+packed_ranges = st.one_of(
+    st.sampled_from([(0, 0), (-1, -1), (1, 1), (-1, 1), (0, 1), (-1, 0)]),
+    st.tuples(st.integers(-40, 40), st.integers(0, 40)).map(lambda t: (t[0], t[0] + t[1])),
+    # far from 0, either side
+    st.tuples(st.integers(10**6, 10**12), st.integers(0, 30), st.booleans()).map(
+        lambda t: (t[0], t[0] + t[1]) if t[2] else (-t[0] - t[1], -t[0])
+    ),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(coefficient_lists, min_size=4, max_size=4), packed_ranges, st.data())
+def test_packed_pass_equals_four_horner_passes(nums, box, data):
+    rows = range(box[0], box[1] + 1)
+    assert packed_points(nums, rows) == packed_reference(nums, rows)
+    # a sub-range, as a forked block gets it: B is chosen from its own rows
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(i, len(rows)))
+    assert packed_points(nums, rows[i:j]) == packed_reference(nums, rows[i:j])
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 8, 63, 64, 65, 300])
+def test_packed_pass_reads_values_at_the_bound(bits):
+    top = (1 << bits) - 1  # the largest value of ``bits`` bits
+    # constants at the bound, of either sign, beside constants far below it
+    for nums in ([[top], [-top], [top], [-top]], [[-top], [1], [0], [top]], [[], [top], [-1], [-top]]):
+        assert packed_points(nums, range(-3, 4)) == packed_reference(nums, range(-3, 4))
+    # sum_j |c_j| R^j reached exactly, at u = R and at u = -R
+    nums = [[top] * 5, [(-1) ** j * top for j in range(5)], [-top] * 3, [top, 0, -top]]
+    for rows in (range(-7, 8), range(7, 8), range(-7, -6)):
+        assert packed_points(nums, rows) == packed_reference(nums, rows)
 
 
 # --- persistence ------------------------------------------------------------------
