@@ -532,6 +532,9 @@ def main(argv=None) -> int:
     except ChildProcessError as exc:  # a worker process was killed
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RuntimeError as exc:  # a proof gate failed
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFICATION_FAILED
     except KeyboardInterrupt:  # forked workers are killed and reaped on the way out
         print("error: interrupted", file=sys.stderr)
         return INTERRUPTED

@@ -145,19 +145,25 @@ def sandor_generate(seed: CubicQuadruple) -> FormQuadruple:
         q2 = b*s u^2 - (c-a)(c+a) uv + d*t v^2
         q3 = c*s u^2 - (d-b)(d+b) uv - a*t v^2
         q4 = d*s u^2 - (c-a)(c+a) uv + b*t v^2
+
+    The quadruple is proven by :func:`verify_cubic_identity` before it
+    is returned; a failure raises RuntimeError.
     """
     a, b, c, d = seed.as_tuple
     s = a + c
     t = d - b
     cross_db = (d - b) * (d + b)
     cross_ca = (c - a) * (c + a)
-    return FormQuadruple(
+    fq = FormQuadruple(
         BinaryQuadraticForm(a * s, cross_db, -c * t),
         BinaryQuadraticForm(b * s, -cross_ca, d * t),
         BinaryQuadraticForm(c * s, -cross_db, -a * t),
         BinaryQuadraticForm(d * s, -cross_ca, b * t),
         seed=seed,
     )
+    if not verify_cubic_identity(fq):
+        raise RuntimeError(f"generated family of seed {seed.as_tuple} failed cubic verification")
+    return fq
 
 
 def verify_cubic_identity(fq: FormQuadruple) -> bool:

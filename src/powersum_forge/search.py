@@ -1,7 +1,8 @@
 """Grid search over generated families, with canonical deduplication.
 
-For each seed the family is generated once (content reduced), then
-evaluated over an inclusive integer grid.  Numeric quadruples are
+For each seed the family is generated, and so proven, once (content
+reduced); for each mode it is derived once into a grid (:func:`_grids`),
+then evaluated over an inclusive integer box.  Numeric quadruples are
 normalized to a canonical representative so that rescaled, reordered or
 globally negated tuples collapse together, and each canonical quadruple
 is tagged when it exhibits a two-cubes coincidence (an integer that is a
@@ -29,8 +30,8 @@ values are read back as balanced base-``2^B`` digits.  ``B`` is chosen
 per block of rows, ``R`` the largest ``|u|`` among them, so that
 ``|p_i(u)| <= sum_j |c_ij| * R^j < 2^(B-2)`` for every polynomial, which
 makes each digit exact.  The record stores ``uv = [u, 0]`` for those,
-and ``v_range`` is ignored.  A value that is not a whole number raises
-RuntimeError instead of being truncated.
+and ``v_range`` is ignored.  An expanded identity that is not integral
+is refused, with RuntimeError, before any of its points.
 
 One reflection rule serves both modes: a point ``x`` of a scan line has
 the raw tuple of ``c - x``.  Each cubic form is homogeneous of degree 2,
@@ -93,14 +94,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .cubic import (
-    CubicQuadruple,
-    FormQuadruple,
-    _Validated,
-    content_reduce,
-    fraction_ratio,
-    sandor_generate,
-)
+from .cubic import CubicQuadruple, _Validated, content_reduce, fraction_ratio, sandor_generate
 from .exactcore import json_int, json_ints
 from .polynomials import _horner, _packed
 from .relations import FMode, QMode, RelationMode, build_relation, expand_relation, parse_mode
@@ -467,12 +461,7 @@ def write_search(
     if workers < 2:
         _write_lines(_search_iter(cfg, stats, _line_encoder), destination)
         return stats.emitted - emitted
-    grids = []
-    for seed in cfg.seeds:
-        reduced, _ = content_reduce(sandor_generate(seed))
-        ratio = fraction_ratio(seed)
-        grids += [(seed, ratio, mode, _family(reduced, mode, cfg.dedupe)) for mode in cfg.modes]
-    jobs = [(grid, *block) for grid in grids for block in blocks[grid[2]]]
+    jobs = [(grid, *block) for grid in _grids(cfg) for block in blocks[grid.mode]]
     with forks.forked_map(functools.partial(_scan_block, cfg), jobs, workers) as results:
         _write_lines(_merge_blocks(results, jobs, cfg.dedupe, stats), destination)
     return stats.emitted - emitted
@@ -498,16 +487,16 @@ def _scan_block(cfg: SearchConfig, job: tuple) -> tuple:
     uncounted, as ``(key, lo, hi, centre)``, the ``_REDUCED`` text of
     each record (dedupe on), and the text of its lines.
     """
-    (seed, ratio, mode, family), rows, columns = job
+    grid, rows, columns = job
     stats = SearchStats()
     zeros = seen = settle = keys = None
     intervals: list[tuple] = []
     if cfg.dedupe:
         zeros, seen, keys = {}, set(), []
         settle = lambda *interval: intervals.append(interval)  # noqa: E731
-    points = _points(seed, mode, family, cfg, rows, columns, settle)
-    line_rule = cfg.dedupe and mode == "cubic"
-    encode = _line_encoder(seed, ratio, keys)
+    points = _points(grid, cfg, rows, columns, settle)
+    line_rule = cfg.dedupe and grid.mode == "cubic"
+    encode = _line_encoder(grid.seed, grid.ratio, keys)
     lines = list(_scan(points, cfg, line_rule, zeros, seen, stats, encode))
     counts = stats.evaluated, stats.degenerate, stats.duplicates, stats.emitted
     return counts, zeros, intervals, keys, "".join(lines)
@@ -566,22 +555,22 @@ def _check_guardrail(cfg: SearchConfig) -> None:
 
 def _search_iter(cfg: SearchConfig, stats: SearchStats | None, encoder) -> Iterator:
     """What ``encoder(seed, ratio)(uv, raw, reduced, content, taxicab)``
-    makes of each record of the search, ``encoder`` called once per seed
-    and mode."""
+    makes of each record of the search, ``encoder`` called once per grid."""
     if stats is None:
         stats = SearchStats()
     dedupe = cfg.dedupe
     seen: set[IntQuad] | None = set() if dedupe else None
-    for seed in cfg.seeds:
-        ratio = fraction_ratio(seed)
-        for mode in cfg.modes:
-            # With dedupe on, a point whose reflection came earlier is
-            # counted by _settle, not evaluated: zeros keeps, by u, the v
-            # of the degenerate points scanned so far.
-            zeros: dict[int, list[int]] | None = {} if dedupe else None
-            points = _evaluate_family(seed, mode, cfg, zeros, stats)
-            line_rule = dedupe and mode == "cubic"
-            yield from _scan(points, cfg, line_rule, zeros, seen, stats, encoder(seed, ratio))
+    (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
+    rows, columns = range(u_lo, u_hi + 1), range(v_lo, v_hi + 1)
+    for grid in _grids(cfg):
+        # With dedupe on, a point whose reflection came earlier is counted
+        # by _settle, not evaluated: zeros keeps, by u, the v of the
+        # degenerate points scanned so far.
+        zeros: dict[int, list[int]] | None = {} if dedupe else None
+        settle = None if zeros is None else functools.partial(_settle, zeros, stats)
+        points = _points(grid, cfg, rows, columns, settle)
+        line_rule = dedupe and grid.mode == "cubic"
+        yield from _scan(points, cfg, line_rule, zeros, seen, stats, encoder(grid.seed, grid.ratio))
 
 
 def _scan(
@@ -703,59 +692,55 @@ def _reflection_holds(nums: Sequence[Sequence[int]]) -> bool:
     return all(_horner(num, t) == _horner(num, -1 - t) for num in nums for t in range(top // 2))
 
 
-def _evaluate_family(
-    seed: CubicQuadruple,
-    mode: SearchMode,
-    cfg: SearchConfig,
-    zeros: dict[int, list[int]] | None = None,
-    stats: SearchStats | None = None,
-) -> Iterator[tuple[tuple[int, int], IntQuad]]:
-    """``(uv, raw)`` at each point of the family's grid, in scan order.
+class _Grid(NamedTuple):
+    """One seed and mode of a search, derived once: what :func:`_points`
+    evaluates, ``family``, is the reduced family's coefficient rows
+    (cubic) or the expanded identity's integer numerators (relation);
+    ``reflects`` is whether the grid is proven symmetric under its
+    reflection, which a cubic grid is by homogeneity."""
 
-    Given ``zeros`` (dedupe on; the caller's record of degenerate points)
-    and ``stats``, a point whose reflection is in the grid and earlier in
-    scan order is not yielded but counted into ``stats`` by
-    :func:`_settle` (the rule is in the module docstring).
-    """
-    family = _family(content_reduce(sandor_generate(seed))[0], mode, zeros is not None)
-    settle = None if zeros is None else functools.partial(_settle, zeros, stats)
-    (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
-    return _points(seed, mode, family, cfg, range(u_lo, u_hi + 1), range(v_lo, v_hi + 1), settle)
+    seed: CubicQuadruple
+    ratio: Fraction
+    mode: SearchMode
+    family: Sequence
+    reflects: bool
 
 
-def _family(reduced: FormQuadruple, mode: SearchMode, dedupe: bool) -> tuple:
-    """What :func:`_points` evaluates for a mode, derived once: the reduced
-    family's coefficient rows, or the expanded identity, its numerators and
-    denominators, and (with ``dedupe`` on) whether it is proven symmetric
-    under ``u -> -1-u``."""
-    if mode == "cubic":
-        return reduced.coefficient_rows
-    identity = expand_relation(build_relation(reduced, mode))
-    nums = [p._num for p in identity.polys]
-    return identity, nums, [p._den for p in identity.polys], dedupe and _reflection_holds(nums)
+def _grids(cfg: SearchConfig) -> Iterator[_Grid]:
+    """The grids of a search, in scan order, each made when it is asked
+    for.  Each seed's family is generated, and so proven, and content
+    reduced once.  A relation identity that is not integral is refused
+    with RuntimeError, before any of its points; whether it reflects is
+    proven by :func:`_reflection_holds`, whatever ``dedupe`` is."""
+    for seed in cfg.seeds:
+        reduced, _ = content_reduce(sandor_generate(seed))
+        ratio = fraction_ratio(seed)
+        for mode in cfg.modes:
+            if mode == "cubic":
+                yield _Grid(seed, ratio, mode, reduced.coefficient_rows, True)
+                continue
+            polys = expand_relation(build_relation(reduced, mode)).polys
+            if any(p._den != 1 for p in polys):
+                raise RuntimeError(f"seed {seed.as_tuple} mode {mode.label}: expanded identity is not integral")
+            nums = [p._num for p in polys]
+            yield _Grid(seed, ratio, mode, nums, _reflection_holds(nums))
 
 
 def _points(
-    seed: CubicQuadruple,
-    mode: SearchMode,
-    family: tuple,
-    cfg: SearchConfig,
-    rows: range,
-    columns: range,
-    settle,
+    grid: _Grid, cfg: SearchConfig, rows: range, columns: range, settle
 ) -> Iterator[tuple[tuple[int, int], IntQuad]]:
-    """``(uv, raw)`` at each point of the grid in ``rows`` (values of
+    """``(uv, raw)`` at each point of ``grid`` in ``rows`` (values of
     ``u``) and, in cubic mode, ``columns`` (values of ``v``), in scan
-    order; given ``settle``, the points whose reflection is in the grid
-    and earlier in scan order go to it instead, through
+    order; given ``settle``, the points whose reflection is in the box
+    of ``cfg`` and earlier in scan order go to it instead, through
     :func:`_skip_reflected`."""
     u_lo = cfg.u_range[0]
-    if mode == "cubic":
+    if grid.mode == "cubic":
         v_lo, v_hi = cfg.v_range
         # Row kernel: q_i(u, v) = alpha_i*u^2 + beta_i*u*v + gamma_i*v^2
         # is A_i + (B_i + gamma_i*v)*v with A_i = alpha_i*u^2 and
         # B_i = beta_i*u fixed for the whole row.
-        (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = family
+        (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = grid.family
         for u in rows:
             uu = u * u
             A1, A2, A3, A4 = a1 * uu, a2 * uu, a3 * uu, a4 * uu
@@ -773,28 +758,17 @@ def _points(
                         A4 + (B4 + c4 * v) * v,
                     )
     else:
-        identity, nums, dens, reflects = family
         # One Horner pass per point: the four values are the digits of one
         # packed value (polynomials._packed), each read back less 2^(B-1).
-        packed, b1 = _packed(nums, max(-rows.start, rows.stop - 1, 0))
+        packed, b1 = _packed(grid.family, max(-rows.start, rows.stop - 1, 0))
         b2, b3, m, h = 2 * b1, 3 * b1, (1 << b1) - 1, 1 << (b1 - 1)  # shifts, digit mask, 2^(B-1)
-        whole = dens == [1, 1, 1, 1]
         segments = (rows,)
-        if settle is not None and reflects:
+        if settle is not None and grid.reflects:
             segments = _skip_reflected(rows, 0, -1 - u_lo, -1, None, settle)
         for us in segments:
             for u in us:
                 x = _horner(packed, u)
-                raw = (x & m) - h, (x >> b1 & m) - h, (x >> b2 & m) - h, (x >> b3) - h
-                if not whole:
-                    if any(x % d for x, d in zip(raw, dens)):
-                        values = identity.evaluate(u)
-                        raise RuntimeError(
-                            f"seed {seed.as_tuple} mode {mode.label}: identity value "
-                            f"{tuple(map(str, values))} at u={u} is not whole"
-                        )
-                    raw = tuple(x // d for x, d in zip(raw, dens))
-                yield (u, 0), raw
+                yield (u, 0), ((x & m) - h, (x >> b1 & m) - h, (x >> b2 & m) - h, (x >> b3) - h)
 
 
 #: The one record encoder: a JSONL line with every integer as a decimal

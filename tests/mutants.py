@@ -1,8 +1,9 @@
-"""Mutation run: each proof gate, each check of the record-line reader,
-each guard of the fork results and of ``verify``'s form sniff,
-``verify``'s slow path for a line the reader refuses, the exit code and
-``atexit`` handlers of ``cli.run`` and the digit width of the packed
-Horner pass must fail a test when they are taken out.
+"""Mutation run: each proof gate, the CLI's report of a failed one, each
+check of the record-line reader, each guard of the fork results and of
+``verify``'s form sniff, ``verify``'s slow path for a line the reader
+refuses, the exit code and ``atexit`` handlers of ``cli.run`` and the
+digit width of the packed Horner pass must fail a test when they are
+taken out.
 
 Run from anywhere, with pytest and hypothesis installed::
 
@@ -41,6 +42,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest arguments, relative to the repository root
 
 
+CUBIC = "src/powersum_forge/cubic.py"
 RELATIONS = "src/powersum_forge/relations.py"
 QUADRATIC = "src/powersum_forge/quadratic.py"
 SEARCH = "src/powersum_forge/search.py"
@@ -54,7 +56,37 @@ VERIFY_LINE_TESTS = (
     "tests/test_cli.py::test_verify_checks_drawn_lines_as_line_by_line",
 )
 
+#: A family that ``sandor_generate`` builds wrong, through the library and the CLI.
+FAMILY_GATE_TESTS = (
+    "tests/test_cubic.py::test_generator_refuses_a_family_built_wrong",
+    "tests/test_cli.py::test_a_family_built_wrong_is_one_error_line_and_exit_1",
+)
+
 MUTANTS = [
+    Mutant(
+        "sandor_generate gate",
+        CUBIC,
+        "    if not verify_cubic_identity(fq):\n",
+        "    if False:\n",
+        FAMILY_GATE_TESTS,
+    ),
+    Mutant(
+        "grids: an identity that is not integral taken",
+        SEARCH,
+        "            if any(p._den != 1 for p in polys):\n"
+        '                raise RuntimeError(f"seed {seed.as_tuple} mode {mode.label}: expanded identity is not integral")\n',
+        "",
+        ("tests/test_search.py::test_relation_mode_rejects_values_that_are_not_whole",),
+    ),
+    Mutant(
+        "CLI: a failed gate not caught",
+        CLI,
+        "    except RuntimeError as exc:  # a proof gate failed\n"
+        '        print(f"error: {exc}", file=sys.stderr)\n'
+        "        return VERIFICATION_FAILED\n",
+        "",
+        ("tests/test_cli.py::test_a_family_built_wrong_is_one_error_line_and_exit_1",),
+    ),
     Mutant(
         "expand_relation gate",
         RELATIONS,

@@ -23,6 +23,7 @@ from powersum_forge.cubic import CubicQuadruple
 from powersum_forge.search import SearchConfig, SearchStats, run_search, scan_records, write_records
 
 from goldens import EQ6_LATEX, EQ19_LATEX, EQ24_QUARTICS, TABLE1, squash
+from test_cubic import break_third_form
 from test_forks import no_child_process
 from test_search import line_vanishing_family, ray_vanishing_family
 
@@ -152,6 +153,25 @@ def test_relation_expand_factor(capsys):
 def test_relation_bad_mode(capsys):
     code, _, err = run(capsys, "relation", "--seed", "1,6,8,9", "--mode", "Z:9")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sandor", "1", "6", "8", "9", "--reduce"],
+        ["relation", "--seed", "1,6,8,9", "--mode", "Q:1,2"],
+        ["search", "--config", "box.json"],
+    ],
+    ids=["sandor", "relation", "search"],
+)
+def test_a_family_built_wrong_is_one_error_line_and_exit_1(capsys, monkeypatch, tmp_path, argv):
+    box = {"seeds": [[1, 6, 8, 9]], "u_range": [-3, 3], "v_range": [-3, 3]}
+    (tmp_path / "box.json").write_text(json.dumps(box))
+    monkeypatch.chdir(tmp_path)
+    break_third_form(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: generated family of seed (1, 6, 8, 9) failed cubic verification"
 
 
 @pytest.mark.parametrize("seed", ["\u0661,6,8,9", "1,6,8,9\u0669", "1_0,6,8,9", "1,6,8,9.0"])

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from powersum_forge import cubic
 from powersum_forge.cubic import (
     BinaryQuadraticForm,
     CubicQuadruple,
@@ -132,6 +134,26 @@ def test_generator_soundness_randomized():
     rng = random.Random(20260809)
     for seed in random_seeds(200, rng):
         assert verify_cubic_identity(sandor_generate(seed))
+
+
+def break_third_form(monkeypatch):
+    """Make the next ``sandor_generate`` build its q3 with the middle
+    coefficient negated, through the form type ``cubic`` builds with:
+    only the third form built from now on is changed, so a reduction of
+    the broken family keeps it broken."""
+    made = itertools.count(1)
+
+    def form(alpha, beta, gamma):
+        return BinaryQuadraticForm(alpha, -beta if next(made) == 3 else beta, gamma)
+
+    monkeypatch.setattr(cubic, "BinaryQuadraticForm", form)
+
+
+def test_generator_refuses_a_family_built_wrong(monkeypatch):
+    break_third_form(monkeypatch)
+    message = r"^generated family of seed \(1, 6, 8, 9\) failed cubic verification$"
+    with pytest.raises(RuntimeError, match=message):
+        sandor_generate(CubicQuadruple(1, 6, 8, 9))
 
 
 # --- reduction and substitution --------------------------------------------

@@ -389,16 +389,18 @@ def test_f_mode_search():
 
 
 def test_relation_mode_rejects_values_that_are_not_whole(monkeypatch):
-    half = Polynomial({0: Fraction(3, 2), 1: 1})
+    half = Polynomial({0: Fraction(1, 2), 1: Fraction(1, 2)})  # (u + 1)/2, whole at odd u
     one = Polynomial.constant(1)
     identity = PolyIdentity((half, one, one, one), Fraction(1))
     monkeypatch.setattr(search, "expand_relation", lambda cq: identity)
+    # the grid is refused whole, before its points, though u = 1 and u = 3
+    # have whole values
     cfg = config([(1, 6, 8, 9)], u=(1, 3), v=(0, 0), modes=(QMode(1, 2),))
     records = []
-    with pytest.raises(RuntimeError, match=r"seed \(1, 6, 8, 9\) mode Q:1,2.* u=1 "):
+    with pytest.raises(RuntimeError, match=r"^seed \(1, 6, 8, 9\) mode Q:1,2: .*not integral$"):
         for record in run_search(cfg):
             records.append(record)
-    assert records == []  # int(3/2 + 1) would have yielded a truncated record
+    assert records == []
 
 
 def test_parallel_and_serial_runs_are_byte_identical(tmp_path):
@@ -433,6 +435,15 @@ boxes = st.one_of(
 )
 
 
+def grid_points(cfg, grid=None, rows=None, settle=None):
+    """``search._points`` of ``grid``, by default the first of ``cfg``, in
+    ``rows``, by default all of ``u_range``, and all of ``v_range``."""
+    (u_lo, u_hi), (v_lo, v_hi) = cfg.u_range, cfg.v_range
+    grid = grid or next(search._grids(cfg))
+    rows = range(u_lo, u_hi + 1) if rows is None else rows
+    return list(search._points(grid, cfg, rows, range(v_lo, v_hi + 1), settle))
+
+
 @given(seeds(), boxes)
 def test_cubic_kernel_matches_evaluate_forms(seed, box):
     u_lo, du, v_lo, dv = box
@@ -443,7 +454,7 @@ def test_cubic_kernel_matches_evaluate_forms(seed, box):
         for u in range(u_lo, u_lo + du + 1)
         for v in range(v_lo, v_lo + dv + 1)
     ]
-    assert list(search._evaluate_family(seed, "cubic", cfg)) == expected
+    assert grid_points(cfg) == expected
 
 
 def whole(values):
@@ -509,7 +520,8 @@ def test_mirror_skipping_search_matches_a_full_scan(seed_list, box):
 def line_vanishing_family(fq):
     """The reduced family with q1 vanishing on v = 0 (alpha = 0) and q2 on
     u = 0 (gamma = 0); the cubic identity no longer holds, which the
-    search never checks."""
+    search checks no further: ``sandor_generate`` proved the family before
+    this reduction."""
     family, g = content_reduce(fq)
     q1, q2, q3, q4 = family.forms
     return family._replace(q1=q1._replace(alpha=0), q2=q2._replace(gamma=0)), g
@@ -532,8 +544,9 @@ def test_mirrored_points_of_degenerate_points_count_as_degenerate(monkeypatch, u
 def ray_vanishing_family(fq):
     """The reduced family with q1 vanishing on the line v = 2u and q2 on
     v = -3u, so degenerate points lie on lines through the origin off
-    the axes; the cubic identity no longer holds, which the search never
-    checks."""
+    the axes; the cubic identity no longer holds, which the search checks
+    no further: ``sandor_generate`` proved the family before this
+    reduction."""
     family, g = content_reduce(fq)
     q1, q2, q3, q4 = family.forms
     q1 = q1._replace(alpha=-2 * q1.beta - 4 * q1.gamma)  # q1(1, 2) = 0
@@ -672,17 +685,17 @@ def test_reflection_skipping_search_matches_a_full_scan(seed_list, modes, u, v):
 )
 def test_relation_grid_evaluates_only_points_without_an_earlier_reflection(mode, points):
     cfg = config([(1, 6, 8, 9)], u=(-5, 9), v=(0, 0), modes=(mode,))
-    seed = cfg.seeds[0]
-    evaluated = search._evaluate_family(seed, mode, cfg, {}, SearchStats())
+    evaluated = grid_points(cfg, settle=lambda *interval: None)
     assert [u for (u, _), _ in evaluated] == points
     # with dedupe off every point is a record of its own
-    assert [u for (u, _), _ in search._evaluate_family(seed, mode, cfg)] == list(range(-5, 10))
+    assert [u for (u, _), _ in grid_points(cfg)] == list(range(-5, 10))
 
 
 def with_symmetric_zeros(scale):
     """``expand_relation`` with every polynomial times ``scale*(u-2)(u+3)``,
     which equals its own reflection ``u -> -1-u``: a symmetric identity
-    stays symmetric and gains zeros at u = 2 and u = -3."""
+    stays symmetric and gains zeros at u = 2 and u = -3.  The identity
+    stays integral for a whole ``scale``."""
     factor = Polynomial({0: -6, 1: 1, 2: 1}) * scale
 
     def expand(cq):
@@ -692,7 +705,7 @@ def with_symmetric_zeros(scale):
     return expand
 
 
-@pytest.mark.parametrize("scale", [1, Fraction(1, 2)])  # 1/2: whole values over a denominator 2
+@pytest.mark.parametrize("scale", [1, 2])  # 2: raw tuples of content 2, which canonicalize divides out
 @pytest.mark.parametrize("u", [(-6, 9), (-3, 2), (-2, 6), (-9, 0), (0, 4)])
 def test_mirrors_of_degenerate_relation_points_count_as_degenerate(monkeypatch, u, scale):
     expand = with_symmetric_zeros(scale)
@@ -800,9 +813,8 @@ def packed_reference(nums, rows):
 
 def packed_points(nums, rows):
     """``search._points`` of a relation family with numerators ``nums``."""
-    family = (None, nums, [1, 1, 1, 1], False)
     cfg = config([(1, 6, 8, 9)], u=(rows.start, max(rows.start, rows.stop - 1)), v=(0, 0))
-    return list(search._points(cfg.seeds[0], QMode(3, 5), family, cfg, rows, range(1), None))
+    return grid_points(cfg, search._Grid(cfg.seeds[0], None, QMode(3, 5), nums, False), rows)
 
 
 coefficient_lists = st.lists(
