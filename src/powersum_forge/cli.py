@@ -41,6 +41,7 @@ import json
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 from . import render
@@ -55,8 +56,25 @@ USAGE_ERROR = 2
 INTERRUPTED = 130
 
 
-def _emit(obj: dict) -> str:
-    return json.dumps(obj, indent=2)
+def _emit(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without the pure-Python
+    encoder an ``indent`` selects: str and int leaves and non-empty dicts
+    (str keys), lists and tuples are written here, anything else by ``json.dumps``."""
+
+    def emit(value, newline: str) -> str:
+        if type(value) is str:
+            return encode_basestring_ascii(value)
+        if type(value) is int:
+            return str(value)
+        inner = newline + "  "
+        if isinstance(value, dict) and value:
+            items = [f"{encode_basestring_ascii(k)}: {emit(v, inner)}" for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        if isinstance(value, (list, tuple)) and value:
+            return "[" + inner + ("," + inner).join([emit(v, inner) for v in value]) + newline + "]"
+        return json.dumps(value)
+
+    return emit(obj, "\n")
 
 
 def integer(text: str) -> int:

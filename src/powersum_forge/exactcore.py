@@ -33,28 +33,33 @@ _BERNOULLI_LOCK = threading.Lock()
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k, with B_1 = -1/2.
 
-    Computed by the classic recurrence
+    The even ones come from the tangent numbers ``T_j``, after Brent and
+    Harvey (arXiv:1108.0286, algorithm TangentNumbers):
 
-        B_k = -1/(k+1) * sum_{j=0}^{k-1} C(k+1, j) B_j
+        B_2j = (-1)^(j-1) * 2j * T_j / (4^j * (4^j - 1))
 
-    and memoized, so filling B_0..B_K costs O(K^2) rational operations.
-    The cache only grows and entries are immutable, so concurrent reads
-    are safe; extension happens under a lock and appends only fully
-    computed values.
+    ``T_1..T_n`` take O(n^2) integer multiply-adds and no gcd; the odd
+    ones above B_1 vanish.  The table is memoized and, past its end,
+    rebuilt to at least twice its length.  Entries are immutable and the
+    cache only grows, so concurrent reads are safe; extension happens
+    under a lock and appends only fully computed values.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     if k < len(_BERNOULLI):
         return _BERNOULLI[k]
     with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= k:
-            r = len(_BERNOULLI)
-            acc = Fraction(0)
-            for j in range(r):
-                b = _BERNOULLI[j]
-                if b:
-                    acc += math.comb(r + 1, j) * b
-            _BERNOULLI.append(-acc / (r + 1))
+        size = len(_BERNOULLI)
+        if k >= size:
+            n = max(k, 2 * size) // 2
+            tangent = [0] + [math.factorial(j) for j in range(n)]  # tangent[j] = T_j once filled
+            for i in range(2, n + 1):
+                for j in range(i, n + 1):
+                    tangent[j] = (j - i) * tangent[j - 1] + (j - i + 2) * tangent[j]
+            table = [Fraction(1), Fraction(-1, 2)]
+            for j in range(1, n + 1):
+                table += [Fraction((-1) ** (j - 1) * 2 * j * tangent[j], 4**j * (4**j - 1)), Fraction(0)]
+            _BERNOULLI.extend(table[size:])
     return _BERNOULLI[k]
 
 

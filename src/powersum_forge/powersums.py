@@ -13,7 +13,8 @@ differs.
 The closed forms ``product``, ``square``, ``s1_power`` and
 ``s2_s1_power`` rewrite products and powers of power sums as linear
 combinations of single power sums, exactly, for every exponent they
-accept (``product`` and ``square`` take exponents >= 1 only).
+accept (``product`` and ``square`` take exponents >= 1 only).  Like
+``faulhaber`` they are cached: the combos they return are immutable.
 """
 
 from __future__ import annotations
@@ -76,13 +77,17 @@ class PowerSumCombo(ExactCombination):
         return self.to_polynomial().evaluate(n)
 
     def to_polynomial(self) -> Polynomial:
-        """Expand every power sum into its polynomial in ``n``."""
+        """Expand every power sum into its polynomial in ``n``: the Faulhaber
+        numerators summed over one ``lcm`` denominator, normalized once."""
         num = self._num
-        out = Polynomial.constant(num[0] if num else 0)
-        for e, c in enumerate(num[1:]):
-            if c:
-                out = out + c * faulhaber(e)
-        return out * Fraction(1, self._den)
+        terms = [(c, faulhaber(e)) for e, c in enumerate(num[1:]) if c]
+        den = math.lcm(*(f._den for _, f in terms))
+        out = [num[0] * den if num else 0] + [0] * max((len(f._num) - 1 for _, f in terms), default=0)
+        for c, f in terms:
+            c *= den // f._den
+            for j, x in enumerate(f._num):
+                out[j] += c * x
+        return Polynomial._from_ints(out, den * self._den)
 
 
 def S(exponent: int) -> PowerSumCombo:
@@ -113,6 +118,7 @@ def faulhaber(k: int) -> Polynomial:
     return Polynomial._from_ints(num, kk * den)
 
 
+@functools.cache
 def product(k: int, m: int) -> PowerSumCombo:
     """``S_k * S_m`` written as a linear combination of power sums.
 
@@ -134,6 +140,7 @@ def square(k: int) -> PowerSumCombo:
     return product(k, k)
 
 
+@functools.cache
 def s1_power(k: int) -> PowerSumCombo:
     """``S_1 ** k`` as a combination; only odd power sums appear.
 
@@ -148,6 +155,7 @@ def s1_power(k: int) -> PowerSumCombo:
     )
 
 
+@functools.cache
 def s2_s1_power(k: int) -> PowerSumCombo:
     """``S_2 * S_1 ** k`` as a combination; only even power sums appear.
 

@@ -4,7 +4,8 @@ Substituting power sums for the two parameters of a verified form
 quadruple turns the bivariate cube identity into a one-parameter family
 of relations: four power-sum combinations whose cubes telescope.  Those
 combinations expand further into plain polynomial identities, which can
-then be stripped of their forced roots at 0 and -1.
+then be stripped of their forced roots at 0 and -1.  Both steps are
+proven by certificate (``_certified``), with no cube expanded.
 
 Two substitution modes exist:
 
@@ -27,8 +28,8 @@ from typing import NamedTuple, Union
 
 from .cubic import BinaryQuadraticForm, FormQuadruple, _Validated, verify_cubic_identity
 from .exactcore import json_int
-from .polynomials import Polynomial, _strip_forced_roots, powers_telescope
-from .powersums import PowerSumCombo, extract_common_factor, product, s1_power, s2_s1_power, square
+from .polynomials import Polynomial, _strip_forced_roots
+from .powersums import PowerSumCombo, extract_common_factor, faulhaber, product, s1_power, s2_s1_power, square
 
 __all__ = [
     "QMode",
@@ -161,16 +162,40 @@ class PolyIdentity(NamedTuple):
         return tuple(p.evaluate(x) for p in self.polys)
 
 
+def _certified(polys, cq=None, divisor=None, dividend=()) -> bool:
+    """True iff ``sum polys[:3]^3 = polys[3]^3`` follows from a certificate.
+
+    From ``cq``: its forms are proven and ``(u, v) -> (X, Y)``, Faulhaber
+    polynomials of ``(S_k, S_m)`` or ``(S_2, S_1^k)``, is a ring
+    homomorphism, so ``polys`` must be the images ``q_i(X, Y)`` divided
+    by their joint content; this checks the combos' closed forms too.
+    From ``divisor``: ``divisor * polys[i] == dividend[i]``, the
+    polynomials of an identity that holds, as ``Z[u]`` has no zero divisors.
+    """
+    if cq is None:
+        return all(divisor * q == p for q, p in zip(polys, dividend, strict=True))
+    if not verify_cubic_identity(cq.forms):
+        return False
+    if isinstance(cq.mode, QMode):
+        x, y = faulhaber(cq.mode.k), faulhaber(cq.mode.m)
+    else:
+        x, y = faulhaber(2), faulhaber(1) ** cq.mode.k
+    xx, xy, yy = x * x, x * y, y * y
+    images, _ = extract_common_factor([f.alpha * xx + f.beta * xy + f.gamma * yy for f in cq.forms.forms])
+    return images == tuple(polys)
+
+
 def expand_relation(cq: ComboQuadruple) -> PolyIdentity:
     """Expand each combo into its polynomial and rescale to integers.
 
-    The result is re-verified by exact expansion before returning; a
-    failure here means the upstream combos were inconsistent and raises
-    RuntimeError rather than producing a broken identity.
+    The result is proven by certificate, as the image of ``cq``'s
+    proven forms (:func:`_certified`); combos that do not match their
+    forms, or forms that fail the cubic identity, raise RuntimeError
+    rather than producing a broken identity.
     """
     polys, content = extract_common_factor([c.to_polynomial() for c in cq.combos])
     identity = PolyIdentity(polys, 1 / content)
-    if not powers_telescope(identity.polys, 3):
+    if not _certified(identity.polys, cq):
         raise RuntimeError("expanded relation failed cubic verification")
     return identity
 
@@ -184,15 +209,16 @@ def factor_common_root(pi: PolyIdentity) -> tuple[PolyIdentity, Polynomial]:
     These are the only roots forced structurally (every power sum
     vanishes at n = 0 and n = -1), so the divisor search is restricted
     to them; no general gcd is attempted.  Cubing the divisor is common
-    to both sides, so the quotient identity still holds and is
-    re-verified.  Returns ``(quotient_identity, divisor)``, where the
-    divisor may be 1.
+    to both sides, so the quotient identity holds exactly when ``pi``,
+    proven by :func:`expand_relation`, does; the divisor times each
+    quotient must give back ``pi`` exactly, or RuntimeError is raised.
+    Returns ``(quotient_identity, divisor)``; the divisor may be 1.
     """
     if any(p.is_zero for p in pi.polys):
         return pi, Polynomial.constant(1)
     polys, shift, t = _strip_forced_roots(pi.polys)
     divisor = Polynomial.monomial(shift) * _U_PLUS_1**t
     quotient = PolyIdentity(tuple(polys), pi.scale)
-    if not powers_telescope(quotient.polys, 3):
+    if not _certified(quotient.polys, divisor=divisor, dividend=pi.polys):
         raise RuntimeError("factored relation failed cubic verification")
     return quotient, divisor

@@ -14,6 +14,7 @@ rendering a Bernoulli number loads no form or relation module.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -56,13 +57,15 @@ def fraction_to_json(q: Fraction) -> dict:
 
 
 def poly_to_json(combination: ExactCombination) -> dict:
-    """A polynomial or a power-sum combo as ``{"terms": [...]}``, keys ascending."""
-    return {
-        "terms": [
-            {"exp": k, "num": str(c.numerator), "den": str(c.denominator)}
-            for k, c in combination.coefficients.items()
-        ]
-    }
+    """A polynomial or a power-sum combo as ``{"terms": [...]}``, keys ascending;
+    each numerator and the shared denominator are divided by their gcd."""
+    den = combination._den
+    terms = []
+    for k, c in enumerate(combination._num, -combination.KEY_OFFSET):
+        if c:
+            g = math.gcd(c, den)
+            terms.append({"exp": k, "num": str(c // g), "den": str(den // g)})
+    return {"terms": terms}
 
 
 combo_to_json = poly_to_json

@@ -1,5 +1,6 @@
-"""Mutation run: each proof gate, the CLI's report of a failed one, each
-check of the record-line reader, each guard of the fork results and of
+"""Mutation run: each proof gate, the forms proof and the images of the
+relation certificate, the CLI's report of a failed gate, each check of
+the record-line reader, each guard of the fork results and of
 ``verify``'s form sniff, ``verify``'s slow path for a line the reader
 refuses, the exit code and ``atexit`` handlers of ``cli.run`` and the
 digit width of the packed Horner pass must fail a test when they are
@@ -90,15 +91,29 @@ MUTANTS = [
     Mutant(
         "expand_relation gate",
         RELATIONS,
-        "    if not powers_telescope(identity.polys, 3):\n",
+        "    if not _certified(identity.polys, cq):\n",
         "    if False:\n",
         ("tests/test_relations.py",),
     ),
     Mutant(
         "factor_common_root gate",
         RELATIONS,
-        "    if not powers_telescope(quotient.polys, 3):\n",
+        "    if not _certified(quotient.polys, divisor=divisor, dividend=pi.polys):\n",
         "    if False:\n",
+        ("tests/test_relations.py",),
+    ),
+    Mutant(
+        "expanded certificate: the forms taken unproven",
+        RELATIONS,
+        "    if not verify_cubic_identity(cq.forms):\n        return False\n",
+        "",
+        ("tests/test_relations.py::test_expand_relation_refuses_combos_of_forms_that_fail_the_cubic_identity",),
+    ),
+    Mutant(
+        "expanded certificate: one wrong image term",
+        RELATIONS,
+        "f.beta * xy",
+        "f.beta * xx",
         ("tests/test_relations.py",),
     ),
     Mutant(

@@ -1804,3 +1804,24 @@ def test_build_parser_builds_only_the_subcommand_it_is_given(name):
     assert subcommands(cli.build_parser("frobnicate")) == list(cli._COMMANDS)
     argv = GOOD_ARGV[name]
     assert cli.build_parser(name).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+# --- the JSON emitter ----------------------------------------------------------
+
+#: Strings with quotes, backslashes, control and non-ASCII characters,
+#: astral ones (a surrogate pair in the output) and lone surrogates.
+json_texts = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\té €\U0001d11e\ud800')
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400) | st.floats() | json_texts,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_texts, children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_emit_writes_the_bytes_of_json_dumps_with_indent_2(value):
+    assert cli._emit(value) == json.dumps(value, indent=2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powersum_forge import exactcore
 from powersum_forge.exactcore import bernoulli, json_int, json_ints
 
 
@@ -83,6 +84,32 @@ def test_bernoulli_against_akiyama_tanigawa():
     for k in range(31):
         expected = -reference[1] if k == 1 else reference[k]
         assert bernoulli(k) == expected
+
+
+def _bernoulli_recurrence(n):
+    # B_0..B_n by the classic recurrence in Fractions,
+    # B_k = -1/(k+1) * sum_{j<k} C(k+1, j) B_j; B(1) = -1/2.
+    table = [Fraction(1)]
+    for k in range(1, n + 1):
+        table.append(-sum(comb(k + 1, j) * b for j, b in enumerate(table) if b) / (k + 1))
+    return table
+
+
+BERNOULLI_ORACLE = _bernoulli_recurrence(310)
+
+
+def test_bernoulli_matches_the_recurrence_up_to_300():
+    assert [bernoulli(k) for k in range(301)] == BERNOULLI_ORACLE[:301]
+
+
+def test_bernoulli_table_grows_to_at_least_twice_its_length(monkeypatch):
+    table = [Fraction(1)]
+    monkeypatch.setattr(exactcore, "_BERNOULLI", table)
+    for k in (0, 1, 2, 3, 4, 9, 51, 52, 300, 7):
+        before = len(table)
+        assert bernoulli(k) == BERNOULLI_ORACLE[k]
+        assert len(table) == before if k < before else len(table) >= max(k + 1, 2 * before)
+        assert table == BERNOULLI_ORACLE[: len(table)]
 
 
 def test_bernoulli_concurrent_reads_are_consistent():

@@ -2,12 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersum_forge import relations
-from powersum_forge.cubic import BinaryQuadraticForm, CubicQuadruple, FormQuadruple, content_reduce, sandor_generate
+from powersum_forge.cubic import (
+    BinaryQuadraticForm,
+    CubicQuadruple,
+    FormQuadruple,
+    content_reduce,
+    permute_seed,
+    sandor_generate,
+    verify_cubic_identity,
+)
 from powersum_forge.polynomials import Polynomial, powers_telescope
-from powersum_forge.powersums import PowerSumCombo, product, s1_power, s2_s1_power, square
+from powersum_forge.powersums import S, PowerSumCombo, extract_common_factor, product, s1_power, s2_s1_power, square
 from powersum_forge.relations import (
+    ComboQuadruple,
     FMode,
     PolyIdentity,
     QMode,
@@ -20,6 +31,7 @@ from powersum_forge.relations import (
 )
 
 from goldens import (
+    BASE_SEEDS,
     EQ6_FORMS,
     EQ13_FORMS,
     EQ19_COMBOS,
@@ -295,3 +307,41 @@ def test_factor_common_root_refuses_a_quotient_with_one_coefficient_moved(monkey
     monkeypatch.setattr(relations, "_strip_forced_roots", moved)
     with pytest.raises(RuntimeError, match="factored relation failed cubic verification"):
         factor_common_root(expand_relation(eq19_relation()))
+
+
+def test_expand_relation_refuses_combos_of_forms_that_fail_the_cubic_identity():
+    fq, _ = content_reduce(sandor_generate(CubicQuadruple(1, 6, 8, 9)))
+    broken = fq._replace(q3=fq.q3._replace(beta=-fq.q3.beta))
+    assert not verify_cubic_identity(broken)
+    combos, factor = extract_common_factor([build_Q(f, 1, 2) for f in broken.forms])
+    with pytest.raises(RuntimeError, match="expanded relation failed cubic verification"):
+        expand_relation(ComboQuadruple(combos, factor, broken, QMode(1, 2)))
+
+
+# --- the certificates against the telescope --------------------------------
+
+seeds = st.builds(
+    lambda base, perm, t: permute_seed(CubicQuadruple(*base), perm).scaled(t),
+    st.sampled_from(BASE_SEEDS),
+    st.sampled_from(["abc", "acb", "bac", "bca", "cab", "cba"]),
+    st.integers(1, 20),
+)
+modes = st.builds(QMode, st.integers(1, 12), st.integers(1, 12)) | st.builds(FMode, st.integers(1, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, modes, st.booleans(), st.integers(0, 3), st.integers(0, 30))
+def test_certificates_accept_exactly_what_powers_telescope_accepts(seed, mode, moved, i, e):
+    """Both certificates agree with full expansion, and each refuses one
+    moved coefficient: a moved weight of combo ``i`` (on ``S_e``), and
+    a moved coefficient of quotient ``i`` (on ``u^e``)."""
+    cq = build_relation(sandor_generate(seed), mode)
+    identity = expand_relation(cq)
+    if moved:
+        cq = cq._replace(combos=tuple(c + S(e) if j == i else c for j, c in enumerate(cq.combos)))
+    polys, _ = extract_common_factor([c.to_polynomial() for c in cq.combos])
+    assert relations._certified(polys, cq) == powers_telescope(polys, 3) == (not moved)
+    quotient, divisor = factor_common_root(identity)
+    quotients = [q + Polynomial.monomial(e) if moved and j == i else q for j, q in enumerate(quotient.polys)]
+    certified = relations._certified(quotients, divisor=divisor, dividend=identity.polys)
+    assert certified == powers_telescope(quotients, 3) == (not moved)
